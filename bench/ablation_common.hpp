@@ -6,7 +6,7 @@
 #include <chrono>
 #include <vector>
 
-#include "core/chain.hpp"
+#include "arch/chain.hpp"
 #include "dsp/metrics.hpp"
 #include "dsp/resample.hpp"
 #include "eeg/dataset.hpp"
@@ -35,7 +35,7 @@ inline AblationScore score_cs_pipeline(sim::Model& chain,
   const auto start = std::chrono::steady_clock::now();
   double snr_sum = 0.0;
   for (const auto& segment : dataset.segments) {
-    const auto out = core::run_chain(chain, segment.waveform);
+    const auto out = arch::run_chain(chain, segment.waveform);
     const auto rec = recon.reconstruct_stream(out.samples);
     const auto times = dsp::uniform_times(rec.size(), design.f_sample_hz());
     const auto ref = dsp::sample_at_times(segment.waveform.samples,

@@ -60,8 +60,8 @@ int main() {
 
   TablePrinter t({"encoder model", "mean SNR [dB]"});
   for (const auto& v : variants) {
-    auto chain = core::build_cs_chain(tech, design, {}, v.options);
-    const auto recon = core::make_matched_reconstructor(design, {}, rc);
+    auto chain = arch::build_cs_chain(tech, design, {}, v.options);
+    const auto recon = arch::make_matched_reconstructor(design, {}, rc);
     const auto score = score_cs_pipeline(*chain, recon, design, dataset);
     t.add_row({v.name, format_number(score.snr_db)});
   }

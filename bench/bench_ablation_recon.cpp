@@ -41,12 +41,12 @@ int main() {
     variants.push_back({"OMP, full 384-atom dictionary", full});
 
     cs::ReconstructorConfig iht;
-    iht.algorithm = cs::ReconAlgorithm::Iht;
+    iht.solver = "iht";
     iht.max_iters = 150;
     variants.push_back({"IHT (150 iters)", iht});
 
     cs::ReconstructorConfig ista;
-    ista.algorithm = cs::ReconAlgorithm::Ista;
+    ista.solver = "ista";
     ista.max_iters = 200;
     variants.push_back({"ISTA (200 iters)", ista});
 
@@ -57,8 +57,8 @@ int main() {
 
   TablePrinter t({"reconstruction", "mean SNR [dB]", "runtime [s]"});
   for (const auto& v : variants) {
-    auto chain = core::build_cs_chain(tech, design, {});
-    const auto recon = core::make_matched_reconstructor(design, {}, v.config);
+    auto chain = arch::build_cs_chain(tech, design, {});
+    const auto recon = arch::make_matched_reconstructor(design, {}, v.config);
     const auto score = score_cs_pipeline(*chain, recon, design, dataset);
     t.add_row({v.name, format_number(score.snr_db), format_number(score.seconds)});
   }

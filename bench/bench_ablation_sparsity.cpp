@@ -26,10 +26,10 @@ int main() {
     design.lna_noise_vrms = 5e-6;
     design.cs_sparsity = s;
 
-    auto chain = core::build_cs_chain(tech, design, {});
+    auto chain = arch::build_cs_chain(tech, design, {});
     cs::ReconstructorConfig rc;
     rc.residual_tol = 0.02;
-    const auto recon = core::make_matched_reconstructor(design, {}, rc);
+    const auto recon = arch::make_matched_reconstructor(design, {}, rc);
     const auto score = score_cs_pipeline(*chain, recon, design, dataset);
     const auto area = power::capacitor_area(tech, design);
     t.add_row({format_number(s), format_number(score.snr_db),

@@ -3,8 +3,7 @@
 // Micro: bulk RNG fills (fill_gaussian in both modes, fill_uniform) against
 // the per-sample scalar loops they replaced.
 // Macro: whole-model runs/s of the Fig. 1a (baseline) and Fig. 1b (CS)
-// chains with the cached-schedule + arena fast path on vs. the legacy
-// rebuild-every-run path (set_fast_path(false)).
+// chains through Model::run() (the K=1 executor: cached schedule + arena).
 //
 // Owns its main() so the obs sidecar captures real counters; writes the
 // BENCH_blocksim.json trajectory file at the working directory root,
@@ -24,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "core/chain.hpp"
+#include "arch/chain.hpp"
 #include "eeg/generator.hpp"
 #include "obs/obs.hpp"
 #include "power/tech.hpp"
@@ -57,21 +56,20 @@ const sim::Waveform& bench_segment() {
   return seg;
 }
 
-void chain_bench(benchmark::State& state, bool cs, bool fast_path) {
+std::unique_ptr<sim::Model> bench_chain(bool cs) {
   power::TechnologyParams tech;
   power::DesignParams design;
-  std::unique_ptr<sim::Model> chain;
-  if (cs) {
-    design.cs_m = 75;
-    design.cs_c_hold_f = 1e-12;
-    chain = core::build_cs_chain(tech, design, {});
-  } else {
-    chain = core::build_baseline_chain(tech, design, {});
-  }
-  chain->set_fast_path(fast_path);
+  if (!cs) return arch::build_baseline_chain(tech, design, {});
+  design.cs_m = 75;
+  design.cs_c_hold_f = 1e-12;
+  return arch::build_cs_chain(tech, design, {});
+}
+
+void chain_bench(benchmark::State& state, bool cs) {
+  auto chain = bench_chain(cs);
   const sim::Waveform& seg = bench_segment();
   for (auto _ : state) {
-    auto out = core::run_chain(*chain, seg);
+    auto out = arch::run_chain(*chain, seg);
     benchmark::DoNotOptimize(out.samples.data());
   }
   state.SetItemsProcessed(state.iterations());
@@ -190,18 +188,15 @@ static void BM_LaneLayoutSampleMajor(benchmark::State& state) {
 BENCHMARK(BM_LaneLayoutSampleMajor);
 
 // ---------------------------------------------------------------------------
-// Macro: whole-chain runs/s, fast path vs legacy. The two paths differ by a
-// few percent of a multi-ms run, which sequential timing on a shared box
-// cannot resolve — so the comparison interleaves cached/legacy runs
-// pairwise and takes per-run medians.
+// Macro: whole-chain runs/s.
 
 static void BM_BaselineChainCached(benchmark::State& state) {
-  chain_bench(state, /*cs=*/false, /*fast_path=*/true);
+  chain_bench(state, /*cs=*/false);
 }
 BENCHMARK(BM_BaselineChainCached)->Unit(benchmark::kMillisecond);
 
 static void BM_CsChainCached(benchmark::State& state) {
-  chain_bench(state, /*cs=*/true, /*fast_path=*/true);
+  chain_bench(state, /*cs=*/true);
 }
 BENCHMARK(BM_CsChainCached)->Unit(benchmark::kMillisecond);
 
@@ -234,53 +229,22 @@ double lookup_ns(const std::vector<std::pair<std::string, double>>& timings,
   return 0.0;
 }
 
-/// Median per-run seconds of the fast (cached schedule + arena) and legacy
-/// (rebuild-every-run) paths, measured pairwise interleaved so slow drift
-/// of the host machine cancels out of the comparison.
-struct ChainAb {
-  double cached_s = 0.0;
-  double legacy_s = 0.0;
-};
-
-ChainAb measure_chain_ab(bool cs, std::size_t pairs) {
+/// Median per-run seconds of a chain over `runs` runs, after a warm-up.
+/// The median keeps a multi-ms run time robust to host noise.
+double median_run_s(bool cs, std::size_t runs) {
   using clock = std::chrono::steady_clock;
-  power::TechnologyParams tech;
-  power::DesignParams design;
-  std::unique_ptr<sim::Model> fast;
-  std::unique_ptr<sim::Model> slow;
-  if (cs) {
-    design.cs_m = 75;
-    design.cs_c_hold_f = 1e-12;
-    fast = core::build_cs_chain(tech, design, {});
-    slow = core::build_cs_chain(tech, design, {});
-  } else {
-    fast = core::build_baseline_chain(tech, design, {});
-    slow = core::build_baseline_chain(tech, design, {});
-  }
-  fast->set_fast_path(true);
-  slow->set_fast_path(false);
+  auto chain = bench_chain(cs);
   const sim::Waveform& seg = bench_segment();
-  for (std::size_t i = 0; i < 5; ++i) {  // warm-up
-    core::run_chain(*fast, seg);
-    core::run_chain(*slow, seg);
-  }
-  std::vector<double> cached(pairs), legacy(pairs);
-  for (std::size_t i = 0; i < pairs; ++i) {
+  for (std::size_t i = 0; i < 5; ++i) arch::run_chain(*chain, seg);
+  std::vector<double> seconds(runs);
+  for (std::size_t i = 0; i < runs; ++i) {
     const auto a = clock::now();
-    auto of = core::run_chain(*fast, seg);
-    const auto b = clock::now();
-    auto os = core::run_chain(*slow, seg);
-    const auto c = clock::now();
-    benchmark::DoNotOptimize(of.samples.data());
-    benchmark::DoNotOptimize(os.samples.data());
-    cached[i] = std::chrono::duration<double>(b - a).count();
-    legacy[i] = std::chrono::duration<double>(c - b).count();
+    auto out = arch::run_chain(*chain, seg);
+    seconds[i] = std::chrono::duration<double>(clock::now() - a).count();
+    benchmark::DoNotOptimize(out.samples.data());
   }
-  const auto median = [](std::vector<double>& v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  return {median(cached), median(legacy)};
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
 }
 
 std::string golden_gauss_checksum() {
@@ -295,7 +259,7 @@ std::string golden_gauss_checksum() {
 
 void write_bench_blocksim_json(
     const std::vector<std::pair<std::string, double>>& timings,
-    const ChainAb& baseline_ab, const ChainAb& cs_ab) {
+    double baseline_s, double cs_s) {
   std::ofstream out("BENCH_blocksim.json", std::ios::trunc);
   if (!out) {
     std::cerr << "[bench_blocksim] cannot write BENCH_blocksim.json\n";
@@ -321,17 +285,10 @@ void write_bench_blocksim_json(
       << "    \"fill_uniform_vs_scalar\": "
       << ratio("BM_ScalarUniform", "BM_FillUniform") << ",\n"
       << "    \"lane_layout_lane_major_vs_sample_major\": "
-      << ratio("BM_LaneLayoutSampleMajor", "BM_LaneLayoutLaneMajor") << ",\n"
-      << "    \"baseline_chain_cached_vs_legacy\": "
-      << baseline_ab.legacy_s / baseline_ab.cached_s << ",\n"
-      << "    \"cs_chain_cached_vs_legacy\": "
-      << cs_ab.legacy_s / cs_ab.cached_s << "\n"
+      << ratio("BM_LaneLayoutSampleMajor", "BM_LaneLayoutLaneMajor") << "\n"
       << "  },\n  \"model_runs_per_s\": {\n"
-      << "    \"baseline_cached\": " << per_s(baseline_ab.cached_s) << ",\n"
-      << "    \"baseline_legacy\": " << per_s(baseline_ab.legacy_s)
-      << ",\n"
-      << "    \"cs_cached\": " << per_s(cs_ab.cached_s) << ",\n"
-      << "    \"cs_legacy\": " << per_s(cs_ab.legacy_s) << "\n"
+      << "    \"baseline_cached\": " << per_s(baseline_s) << ",\n"
+      << "    \"cs_cached\": " << per_s(cs_s) << "\n"
       << "  },\n  \"golden\": {\"gauss_1000_seed12345_boxmuller\": \""
       << golden_gauss_checksum() << "\"},\n";
   const auto& block = obs::histogram("time/block_run");
@@ -369,24 +326,15 @@ int main(int argc, char** argv) {
   }
   benchmark::Shutdown();
 
-  const auto baseline_ab = measure_chain_ab(/*cs=*/false, /*pairs=*/60);
-  const auto cs_ab = measure_chain_ab(/*cs=*/true, /*pairs=*/60);
-  std::cout << "interleaved A/B (median run, fast vs legacy path):\n"
-            << "  baseline chain: " << baseline_ab.cached_s * 1e3 << " ms vs "
-            << baseline_ab.legacy_s * 1e3 << " ms  ("
-            << baseline_ab.legacy_s / baseline_ab.cached_s << "x)\n"
-            << "  cs chain:       " << cs_ab.cached_s * 1e3 << " ms vs "
-            << cs_ab.legacy_s * 1e3 << " ms  ("
-            << cs_ab.legacy_s / cs_ab.cached_s << "x)\n";
+  const double baseline_s = median_run_s(/*cs=*/false, /*runs=*/60);
+  const double cs_s = median_run_s(/*cs=*/true, /*runs=*/60);
+  std::cout << "median run: baseline chain " << baseline_s * 1e3
+            << " ms, cs chain " << cs_s * 1e3 << " ms\n";
 
   obs_run.set_points(reporter.timings.size());
   const double scalar = lookup_ns(reporter.timings, "BM_ScalarGaussian");
   const double zig = lookup_ns(reporter.timings, "BM_FillGaussianZiggurat");
   if (zig > 0.0) obs_run.add_field("fill_gaussian_ziggurat_vs_scalar", scalar / zig);
-  if (baseline_ab.cached_s > 0.0) {
-    obs_run.add_field("baseline_chain_cached_vs_legacy",
-                      baseline_ab.legacy_s / baseline_ab.cached_s);
-  }
-  write_bench_blocksim_json(reporter.timings, baseline_ab, cs_ab);
+  write_bench_blocksim_json(reporter.timings, baseline_s, cs_s);
   return 0;
 }

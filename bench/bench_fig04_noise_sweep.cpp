@@ -6,8 +6,8 @@
 
 #include "results_common.hpp"
 
+#include "arch/chain.hpp"
 #include "blocks/sources.hpp"
-#include "core/chain.hpp"
 #include "dsp/metrics.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
@@ -37,26 +37,26 @@ int main() {
     design.lna_noise_vrms = uv * 1e-6;
     design.adc_bits = 8;
 
-    auto chain = core::build_baseline_chain(tech, design, {});
+    auto chain = arch::build_baseline_chain(tech, design, {});
     blocks::SineSource tone("tone", fs_analog, duration_s, 50.0,
                             0.85 * (design.v_fs / 2.0) / design.lna_gain);
-    const auto out = core::run_chain(*chain, tone.process({}).front());
+    const auto out = arch::run_chain(*chain, tone.process({}).front());
     const auto analysis = dsp::analyze_tone(out.samples, out.fs);
 
     const auto power = chain->power_report();
     const double total = power.total_watts();
     table.add_row({format_number(uv), format_number(analysis.sndr_db),
                    format_number(analysis.enob), format_power(total),
-                   format_power(power.watts_of(core::kLnaBlock)),
-                   format_power(power.watts_of(core::kSampleHoldBlock)),
-                   format_power(power.watts_of(core::kAdcBlock)),
-                   format_power(power.watts_of(core::kTxBlock)),
-                   format_number(100.0 * power.watts_of(core::kLnaBlock) / total)});
+                   format_power(power.watts_of(arch::kLnaBlock)),
+                   format_power(power.watts_of(arch::kSampleHoldBlock)),
+                   format_power(power.watts_of(arch::kAdcBlock)),
+                   format_power(power.watts_of(arch::kTxBlock)),
+                   format_number(100.0 * power.watts_of(arch::kLnaBlock) / total)});
     csv.row(std::vector<double>{uv, analysis.sndr_db, analysis.enob, total,
-                                power.watts_of(core::kLnaBlock),
-                                power.watts_of(core::kSampleHoldBlock),
-                                power.watts_of(core::kAdcBlock),
-                                power.watts_of(core::kTxBlock)});
+                                power.watts_of(arch::kLnaBlock),
+                                power.watts_of(arch::kSampleHoldBlock),
+                                power.watts_of(arch::kAdcBlock),
+                                power.watts_of(arch::kTxBlock)});
   }
   table.print(std::cout);
 

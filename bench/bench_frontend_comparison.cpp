@@ -16,6 +16,7 @@
 
 using namespace efficsense;
 using namespace efficsense::core;
+using namespace efficsense::arch;
 
 int main() {
   efficsense::obs::BenchRun obs_run("bench_frontend_comparison");

@@ -9,11 +9,11 @@
 #include <cmath>
 #include <iostream>
 
+#include "arch/chain.hpp"
 #include "blocks/sample_hold.hpp"
 #include "blocks/sar_adc.hpp"
 #include "blocks/sources.hpp"
 #include "blocks/transmitter.hpp"
-#include "core/chain.hpp"
 #include "dsp/biquad.hpp"
 #include "dsp/metrics.hpp"
 #include "power/models.hpp"
@@ -111,10 +111,10 @@ int main() {
                             0.85 * (design.v_fs / 2.0) / design.lna_gain);
     const auto input = tone.process({}).front();
 
-    auto standard = core::build_baseline_chain(tech, design, {});
-    const auto out_std = core::run_chain(*standard, input);
+    auto standard = arch::build_baseline_chain(tech, design, {});
+    const auto out_std = arch::run_chain(*standard, input);
     auto chopper = build_chopper_chain(tech, design);
-    const auto out_chop = core::run_chain(*chopper, input);
+    const auto out_chop = arch::run_chain(*chopper, input);
 
     const double p_std = standard->power_report().total_watts();
     const double p_chop = chopper->power_report().total_watts();

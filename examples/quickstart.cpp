@@ -7,9 +7,9 @@
 
 #include <iostream>
 
+#include "arch/chain.hpp"
 #include "blocks/lna.hpp"
 #include "blocks/sources.hpp"
-#include "core/chain.hpp"
 #include "dsp/metrics.hpp"
 #include "power/models.hpp"
 #include "util/csv.hpp"
@@ -26,7 +26,7 @@ int main() {
   std::cout << tech.describe() << "\n" << design.describe() << "\n";
 
   // Assemble the chain (source -> LNA -> S&H -> SAR ADC -> TX).
-  auto chain = core::build_baseline_chain(tech, design, core::ChainSeeds{});
+  auto chain = arch::build_baseline_chain(tech, design, arch::ChainSeeds{});
 
   // A 50 Hz tone at 80 % of the input range the LNA maps to full scale.
   const double amplitude = 0.8 * (design.v_fs / 2.0) / design.lna_gain;
@@ -34,7 +34,7 @@ int main() {
                           /*freq_hz=*/50.0, amplitude);
   const auto input = tone.process({}).front();
 
-  const auto output = core::run_chain(*chain, input);
+  const auto output = arch::run_chain(*chain, input);
 
   // Signal quality at the transmitter output.
   const auto analysis = dsp::analyze_tone(output.samples, output.fs);

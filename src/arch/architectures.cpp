@@ -4,14 +4,19 @@
 // LC-ADC event-driven chain promotes blocks/lc_adc from a bench-only block
 // to a first-class evaluable front-end.
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
 #include "arch/architecture.hpp"
 #include "arch/recon_cache.hpp"
+#include "blocks/cs_encoder.hpp"
 #include "blocks/lc_adc.hpp"
 #include "blocks/lna.hpp"
+#include "blocks/sample_hold.hpp"
+#include "blocks/sar_adc.hpp"
 #include "blocks/sources.hpp"
+#include "blocks/transmitter.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -35,6 +40,68 @@ std::unique_ptr<Decoder> cached_cs_decoder(const power::DesignParams& design,
       ReconstructorCache::instance().get(design, seeds, rc));
 }
 
+std::vector<std::uint64_t> lane_streams(
+    const std::vector<ChainSeeds>& lane_seeds,
+    std::uint64_t ChainSeeds::*base, std::uint64_t stream) {
+  std::vector<std::uint64_t> out;
+  out.reserve(lane_seeds.size());
+  for (const ChainSeeds& s : lane_seeds) {
+    out.push_back(lane_stream_seed(s.*base, stream));
+  }
+  return out;
+}
+
+template <typename BlockT>
+BlockT* find_block(sim::Model& model, const char* name) {
+  return model.has_block(name) ? dynamic_cast<BlockT*>(&model.block(name))
+                               : nullptr;
+}
+
+/// The batched chain of `architecture`: its chain built from lane_seeds[0],
+/// with every lane's fabrication state and — when the lanes' noise seeds
+/// differ — every lane's noise streams installed on the blocks found under
+/// the canonical names. Stream ids are the builders' own: lna 1, sh 2,
+/// adc 3, tx 4, cs_enc 5.
+std::unique_ptr<sim::Model> build_lane_chain(
+    const Architecture& architecture, const power::TechnologyParams& tech,
+    const power::DesignParams& design,
+    const std::vector<ChainSeeds>& lane_seeds) {
+  EFF_REQUIRE(!lane_seeds.empty(), "batched chain needs at least one lane");
+  const ChainSeeds& first = lane_seeds.front();
+  if (design.uses_cs()) {
+    for (const ChainSeeds& s : lane_seeds) {
+      EFF_REQUIRE(s.phi == first.phi,
+                  "batched CS lanes must share the sensing matrix");
+    }
+  }
+  auto model = architecture.build_model(tech, design, first);
+  auto* lna = find_block<blocks::LnaBlock>(*model, kLnaBlock);
+  auto* sh = find_block<blocks::SampleHoldBlock>(*model, kSampleHoldBlock);
+  auto* adc = find_block<blocks::SarAdcBlock>(*model, kAdcBlock);
+  auto* tx = find_block<blocks::TransmitterBlock>(*model, kTxBlock);
+  auto* enc = find_block<blocks::CsEncoderBlock>(*model, kCsEncoderBlock);
+
+  const auto mismatch = [&](std::uint64_t stream) {
+    return lane_streams(lane_seeds, &ChainSeeds::mismatch, stream);
+  };
+  const auto noise = [&](std::uint64_t stream) {
+    return lane_streams(lane_seeds, &ChainSeeds::noise, stream);
+  };
+  if (adc) adc->set_lane_mismatch_seeds(mismatch(3));
+  if (enc) enc->set_lane_mismatch_seeds(mismatch(5));
+  const bool shared_noise =
+      std::all_of(lane_seeds.begin(), lane_seeds.end(),
+                  [&](const ChainSeeds& s) { return s.noise == first.noise; });
+  if (!shared_noise) {
+    if (lna) lna->set_lane_noise_seeds(noise(1));
+    if (sh) sh->set_lane_noise_seeds(noise(2));
+    if (adc) adc->set_lane_noise_seeds(noise(3));
+    if (tx) tx->set_lane_noise_seeds(noise(4));
+    if (enc) enc->set_lane_noise_seeds(noise(5));
+  }
+  return model;
+}
+
 class BaselineArchitecture final : public Architecture {
  public:
   std::string id() const override { return "baseline"; }
@@ -52,7 +119,7 @@ class BaselineArchitecture final : public Architecture {
   std::unique_ptr<sim::Model> build_batch_model(
       const power::TechnologyParams& tech, const power::DesignParams& design,
       const std::vector<ChainSeeds>& lane_seeds) const override {
-    return build_batch_baseline_chain(tech, design, lane_seeds);
+    return build_lane_chain(*this, tech, design, lane_seeds);
   }
   std::unique_ptr<Decoder> make_decoder(
       const power::DesignParams&, const ChainSeeds&,
@@ -80,7 +147,7 @@ class PassiveCsArchitecture final : public Architecture {
   std::unique_ptr<sim::Model> build_batch_model(
       const power::TechnologyParams& tech, const power::DesignParams& design,
       const std::vector<ChainSeeds>& lane_seeds) const override {
-    return build_batch_cs_chain(tech, design, lane_seeds);
+    return build_lane_chain(*this, tech, design, lane_seeds);
   }
   std::unique_ptr<Decoder> make_decoder(
       const power::DesignParams& design, const ChainSeeds& seeds,
@@ -130,7 +197,7 @@ class DigitalCsArchitecture final : public Architecture {
   std::unique_ptr<sim::Model> build_batch_model(
       const power::TechnologyParams& tech, const power::DesignParams& design,
       const std::vector<ChainSeeds>& lane_seeds) const override {
-    return build_batch_digital_cs_chain(tech, design, lane_seeds);
+    return build_lane_chain(*this, tech, design, lane_seeds);
   }
   std::unique_ptr<Decoder> make_decoder(
       const power::DesignParams& design, const ChainSeeds& seeds,

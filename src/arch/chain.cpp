@@ -172,117 +172,6 @@ std::uint64_t lane_stream_seed(std::uint64_t base, std::uint64_t stream) {
   return Rng(base).split(stream).seed();
 }
 
-namespace {
-
-bool lanes_share_noise(const std::vector<ChainSeeds>& lane_seeds) {
-  for (const ChainSeeds& s : lane_seeds) {
-    if (s.noise != lane_seeds.front().noise) return false;
-  }
-  return true;
-}
-
-std::vector<std::uint64_t> mismatch_streams(
-    const std::vector<ChainSeeds>& lane_seeds, std::uint64_t stream) {
-  std::vector<std::uint64_t> out;
-  out.reserve(lane_seeds.size());
-  for (const ChainSeeds& s : lane_seeds) {
-    out.push_back(lane_stream_seed(s.mismatch, stream));
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> noise_streams(
-    const std::vector<ChainSeeds>& lane_seeds, std::uint64_t stream) {
-  std::vector<std::uint64_t> out;
-  out.reserve(lane_seeds.size());
-  for (const ChainSeeds& s : lane_seeds) {
-    out.push_back(lane_stream_seed(s.noise, stream));
-  }
-  return out;
-}
-
-template <typename BlockT>
-BlockT& typed_block(sim::Model& model, const char* name) {
-  auto* b = dynamic_cast<BlockT*>(&model.block(name));
-  EFF_REQUIRE(b != nullptr, std::string("block '") + name +
-                                "' has an unexpected type in a batched chain");
-  return *b;
-}
-
-}  // namespace
-
-std::unique_ptr<sim::Model> build_batch_baseline_chain(
-    const power::TechnologyParams& tech, const power::DesignParams& design,
-    const std::vector<ChainSeeds>& lane_seeds) {
-  EFF_REQUIRE(!lane_seeds.empty(), "batched chain needs at least one lane");
-  auto model = build_baseline_chain(tech, design, lane_seeds.front());
-  typed_block<blocks::SarAdcBlock>(*model, kAdcBlock)
-      .set_lane_mismatch_seeds(mismatch_streams(lane_seeds, 3));
-  if (!lanes_share_noise(lane_seeds)) {
-    typed_block<blocks::LnaBlock>(*model, kLnaBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 1));
-    typed_block<blocks::SampleHoldBlock>(*model, kSampleHoldBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 2));
-    typed_block<blocks::SarAdcBlock>(*model, kAdcBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 3));
-    typed_block<blocks::TransmitterBlock>(*model, kTxBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 4));
-  }
-  return model;
-}
-
-std::unique_ptr<sim::Model> build_batch_cs_chain(
-    const power::TechnologyParams& tech, const power::DesignParams& design,
-    const std::vector<ChainSeeds>& lane_seeds,
-    const blocks::CsEncoderOptions& encoder_options) {
-  EFF_REQUIRE(!lane_seeds.empty(), "batched chain needs at least one lane");
-  for (const ChainSeeds& s : lane_seeds) {
-    EFF_REQUIRE(s.phi == lane_seeds.front().phi,
-                "batched CS lanes must share the sensing matrix");
-  }
-  auto model = build_cs_chain(tech, design, lane_seeds.front(),
-                              encoder_options);
-  typed_block<blocks::CsEncoderBlock>(*model, kCsEncoderBlock)
-      .set_lane_mismatch_seeds(mismatch_streams(lane_seeds, 5));
-  typed_block<blocks::SarAdcBlock>(*model, kAdcBlock)
-      .set_lane_mismatch_seeds(mismatch_streams(lane_seeds, 3));
-  if (!lanes_share_noise(lane_seeds)) {
-    typed_block<blocks::LnaBlock>(*model, kLnaBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 1));
-    typed_block<blocks::CsEncoderBlock>(*model, kCsEncoderBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 5));
-    typed_block<blocks::SarAdcBlock>(*model, kAdcBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 3));
-    typed_block<blocks::TransmitterBlock>(*model, kTxBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 4));
-  }
-  return model;
-}
-
-std::unique_ptr<sim::Model> build_batch_digital_cs_chain(
-    const power::TechnologyParams& tech, const power::DesignParams& design,
-    const std::vector<ChainSeeds>& lane_seeds) {
-  EFF_REQUIRE(!lane_seeds.empty(), "batched chain needs at least one lane");
-  for (const ChainSeeds& s : lane_seeds) {
-    EFF_REQUIRE(s.phi == lane_seeds.front().phi,
-                "batched CS lanes must share the sensing matrix");
-  }
-  auto model = build_digital_cs_chain(tech, design, lane_seeds.front());
-  typed_block<blocks::SarAdcBlock>(*model, kAdcBlock)
-      .set_lane_mismatch_seeds(mismatch_streams(lane_seeds, 3));
-  if (!lanes_share_noise(lane_seeds)) {
-    typed_block<blocks::LnaBlock>(*model, kLnaBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 1));
-    typed_block<blocks::SampleHoldBlock>(*model, kSampleHoldBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 2));
-    typed_block<blocks::SarAdcBlock>(*model, kAdcBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 3));
-    typed_block<blocks::TransmitterBlock>(*model, kTxBlock)
-        .set_lane_noise_seeds(noise_streams(lane_seeds, 4));
-  }
-  return model;
-}
-
 const sim::LaneBank& run_chain_batch(sim::Model& model,
                                      const sim::Waveform& input,
                                      std::size_t lanes) {

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "blocks/cs_encoder.hpp"
 #include "cs/reconstructor.hpp"
@@ -93,31 +92,15 @@ sim::Waveform run_chain(sim::Model& model, const sim::Waveform& input);
 // A batched chain is the scalar chain built from lane_seeds[0] with per-lane
 // fabrication state (ADC DAC weights, CS capacitor arrays) installed for
 // every lane, and — when the lanes' noise seeds differ — per-lane noise
-// streams on each stochastic block. Lane k of a run_batch() is bit-identical
-// to a scalar chain built from lane_seeds[k]; per-lane stream seeds derive
-// through Rng::split(), which reproduces the scalar derive_seed() chain
-// exactly. All lanes must share the phi seed (one sensing matrix / decoder).
+// streams on each stochastic block (Architecture::build_batch_model). Lane k
+// of a run_batch() is bit-identical to a chain built from lane_seeds[k];
+// per-lane stream seeds derive through Rng::split(), which reproduces the
+// derive_seed() chain of the builders above exactly. All lanes must share
+// the phi seed (one sensing matrix / decoder).
 
 /// Per-lane stream seed: Rng(base).split(stream).seed(), bitwise equal to
-/// the derive_seed(base, stream) the scalar builders use.
+/// the derive_seed(base, stream) the builders use.
 std::uint64_t lane_stream_seed(std::uint64_t base, std::uint64_t stream);
-
-/// Batched Fig. 1a chain.
-std::unique_ptr<sim::Model> build_batch_baseline_chain(
-    const power::TechnologyParams& tech, const power::DesignParams& design,
-    const std::vector<ChainSeeds>& lane_seeds);
-
-/// Batched passive charge-sharing CS chain.
-std::unique_ptr<sim::Model> build_batch_cs_chain(
-    const power::TechnologyParams& tech, const power::DesignParams& design,
-    const std::vector<ChainSeeds>& lane_seeds,
-    const blocks::CsEncoderOptions& encoder_options = {});
-
-/// Batched digital-MAC CS chain (the MAC itself is deterministic and runs
-/// through the per-lane fallback).
-std::unique_ptr<sim::Model> build_batch_digital_cs_chain(
-    const power::TechnologyParams& tech, const power::DesignParams& design,
-    const std::vector<ChainSeeds>& lane_seeds);
 
 /// Inject one shared waveform (broadcast to every lane) and run the batched
 /// model; returns the transmitter output bank. The reference is valid until

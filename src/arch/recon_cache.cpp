@@ -20,7 +20,6 @@ std::string reconstructor_cache_key(const power::DesignParams& design,
      << ";style=" << static_cast<int>(design.cs_style)
      << ";cs=" << design.cs_c_sample_f << ";ch=" << design.cs_c_hold_f
      << ";ci=" << design.cs_c_int_f
-     << ";alg=" << static_cast<int>(config.algorithm)
      << ";basis=" << static_cast<int>(config.basis)
      << ";k=" << config.sparsity << ";tol=" << config.residual_tol
      << ";iters=" << config.max_iters << ";atoms=" << config.basis_atoms

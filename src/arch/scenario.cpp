@@ -244,7 +244,9 @@ std::uint64_t ScenarioSpec::digest() const {
   }
   bytes.push_back('\n');
   append_u64(bytes, space.digest());
-  bytes.push_back(static_cast<char>(recon.algorithm));
+  // Retired algorithm-enum byte: always the old default (0), so digests
+  // keep their byte layout.
+  bytes.push_back(0);
   bytes.push_back(static_cast<char>(recon.basis));
   append_u64(bytes, recon.sparsity);
   append_bits(bytes, recon.residual_tol);

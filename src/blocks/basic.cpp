@@ -55,48 +55,19 @@ NoiseAdderBlock::NoiseAdderBlock(std::string name, double sigma,
   params().set("sigma", sigma);
 }
 
-std::vector<sim::Waveform> NoiseAdderBlock::process(
-    const std::vector<sim::Waveform>& in) {
-  sim::WaveformArena scratch;
-  return process(in, scratch);
-}
-
-std::vector<sim::Waveform> NoiseAdderBlock::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
-  const sim::Waveform& x = in.at(0);
-  const std::size_t n = x.size();
-  sim::Waveform out = arena.acquire_waveform(x.fs, n);
-  if (sigma_ > 0.0) {
-    Rng rng(derive_seed(seed_, run_));
-    std::vector<double> noise = arena.acquire(n);
-    rng.fill_gaussian(noise.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.samples[i] = x[i] + sigma_ * noise[i];
-    }
-    arena.release(std::move(noise));
-  } else {
-    std::copy(x.samples.begin(), x.samples.end(), out.samples.begin());
-  }
-  ++run_;
-  return {std::move(out)};
-}
-
 void NoiseAdderBlock::process_batch(
     std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
     std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
-  const bool shared = lane_noise_seeds_.empty();
-  if (shared && inputs.at(0)->uniform()) {
-    sim::Block::process_batch(lanes, inputs, outputs, arena);
-    return;
-  }
   const sim::LaneBank& x = *inputs.at(0);
+  const bool shared = lane_noise_seeds_.empty();
   EFF_REQUIRE(shared || lane_noise_seeds_.size() == lanes,
               "noise-adder lane seed count does not match the batch width");
   const std::size_t n = x.samples();
-  sim::LaneBank bank =
-      sim::LaneBank::acquire(arena, x.fs(), lanes, n, /*uniform=*/false);
+  // A shared stream over a uniform input yields one row for every lane.
+  sim::LaneBank bank = sim::LaneBank::acquire(arena, x.fs(), lanes, n,
+                                              shared && x.uniform());
   std::vector<double> noise = arena.acquire(n);
-  for (std::size_t k = 0; k < lanes; ++k) {
+  for (std::size_t k = 0; k < bank.rows(); ++k) {
     const double* xr = x.lane(k);
     double* o = bank.lane(k);
     if (sigma_ > 0.0) {

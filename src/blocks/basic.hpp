@@ -39,9 +39,6 @@ class ClipBlock final : public sim::Block {
 class NoiseAdderBlock final : public sim::Block {
  public:
   NoiseAdderBlock(std::string name, double sigma, std::uint64_t seed);
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,

@@ -74,101 +74,11 @@ cs::ChargeSharingGains CsEncoderBlock::nominal_gains() const {
   return cs::charge_sharing_gains(design_.cs_c_sample_f, design_.cs_c_hold_f);
 }
 
-std::vector<sim::Waveform> CsEncoderBlock::process(
-    const std::vector<sim::Waveform>& in) {
-  const sim::Waveform& x = in.at(0);
-  EFF_REQUIRE(!x.empty(), "CS encoder input is empty");
-  const double f_sample = design_.f_sample_hz();
-  EFF_REQUIRE(x.fs >= f_sample, "CS encoder cannot sample above the input rate");
-
-  const auto n_phi = static_cast<std::size_t>(design_.cs_n_phi);
-  const auto m = static_cast<std::size_t>(design_.cs_m);
-  const double t_sample = 1.0 / f_sample;
-  const double kT = units::kBoltzmann * tech_.temperature_k;
-
-  // Sample the quasi-continuous input at f_sample.
-  const auto n_samples =
-      static_cast<std::size_t>(std::floor(x.duration_s() * f_sample));
-  const auto times = dsp::uniform_times(n_samples, f_sample);
-  const auto sampled = dsp::sample_at_times(x.samples, x.fs, times);
-
-  Rng rng(derive_seed(noise_seed_, run_));
-  ++run_;
-
-  const std::size_t frames = n_samples / n_phi;
-  std::vector<double> measurements;
-  measurements.reserve(frames * m);
-
-  std::vector<double> v_hold(m);
-  std::vector<double> last_event_t(m);
-
-  const double i_leak = (options_.i_leak_override_a > 0.0)
-                            ? options_.i_leak_override_a
-                            : tech_.i_leak_a;
-  auto apply_leak = [&](std::size_t row, double now, double c_hold) {
-    if (!options_.enable_leakage) return;
-    const double dt = now - last_event_t[row];
-    last_event_t[row] = now;
-    if (dt <= 0.0) return;
-    const double droop = i_leak * dt / c_hold;
-    // Leakage discharges the cap toward ground without crossing zero.
-    if (v_hold[row] > 0.0) {
-      v_hold[row] = std::max(0.0, v_hold[row] - droop);
-    } else {
-      v_hold[row] = std::min(0.0, v_hold[row] + droop);
-    }
-  };
-
-  for (std::size_t f = 0; f < frames; ++f) {
-    std::fill(v_hold.begin(), v_hold.end(), 0.0);
-    std::fill(last_event_t.begin(), last_event_t.end(), 0.0);
-
-    for (std::size_t j = 0; j < n_phi; ++j) {
-      const double now = static_cast<double>(j) * t_sample;
-      const auto& support = phi_.column_support(j);
-      for (std::size_t si = 0; si < support.size(); ++si) {
-        const std::size_t row = support[si];
-        const double c_s = c_sample_f_[si % c_sample_f_.size()];
-        const double c_h = c_hold_f_[row];
-
-        // Sample x_j on C_sample: kT/C sampling noise.
-        double v_s = sampled[f * n_phi + j];
-        if (options_.enable_noise) {
-          v_s += rng.gaussian(0.0, std::sqrt(kT / c_s));
-        }
-
-        apply_leak(row, now, c_h);
-
-        // Passive charge redistribution (Eq. 1) with the actual capacitors.
-        double v_new = (c_s * v_s + c_h * v_hold[row]) / (c_s + c_h);
-        if (options_.enable_noise) {
-          v_new += rng.gaussian(0.0, std::sqrt(kT / (c_s + c_h)));
-        }
-        v_hold[row] = v_new;
-      }
-    }
-
-    // Readout at the end of the frame (sequential SAR conversions).
-    const double frame_end = static_cast<double>(n_phi) * t_sample;
-    for (std::size_t row = 0; row < m; ++row) {
-      apply_leak(row, frame_end, c_hold_f_[row]);
-      measurements.push_back(v_hold[row]);
-    }
-  }
-
-  const double out_rate = design_.tx_sample_rate_hz();
-  return {sim::Waveform(out_rate, std::move(measurements))};
-}
-
 void CsEncoderBlock::process_batch(
     std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
     std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
-  const bool shared_noise = lane_noise_seeds_.empty();
-  if (lane_c_hold_f_.empty() && shared_noise && inputs.at(0)->uniform()) {
-    sim::Block::process_batch(lanes, inputs, outputs, arena);
-    return;
-  }
   const sim::LaneBank& x = *inputs.at(0);
+  const bool shared_noise = lane_noise_seeds_.empty();
   EFF_REQUIRE(!x.empty(), "CS encoder input is empty");
   const double f_sample = design_.f_sample_hz();
   EFF_REQUIRE(x.fs() >= f_sample,
@@ -200,7 +110,7 @@ void CsEncoderBlock::process_batch(
 
   // The kT/C draw order (frame-major, column, support entry, two draws per
   // share) is data-independent, so one standard-normal buffer filled from
-  // the shared stream serves every lane; per-lane streams refill it.
+  // the shared stream serves every row; per-lane streams refill it.
   std::size_t draws_per_frame = 0;
   if (options_.enable_noise) {
     for (std::size_t j = 0; j < n_phi; ++j) {
@@ -214,9 +124,13 @@ void CsEncoderBlock::process_batch(
     rng.fill_gaussian(zbuf.data(), n_draws);
   }
 
+  // Output: the M held voltages per frame at the rate the SAR digitizes
+  // them. One capacitor instance and one noise stream over a uniform input
+  // make every lane the same row, computed once.
   const double out_rate = design_.tx_sample_rate_hz();
-  sim::LaneBank bank = sim::LaneBank::acquire(arena, out_rate, lanes,
-                                              frames * m, /*uniform=*/false);
+  sim::LaneBank bank = sim::LaneBank::acquire(
+      arena, out_rate, lanes, frames * m,
+      lane_c_hold_f_.empty() && shared_noise && x.uniform());
 
   const double i_leak = (options_.i_leak_override_a > 0.0)
                             ? options_.i_leak_override_a
@@ -224,7 +138,7 @@ void CsEncoderBlock::process_batch(
   std::vector<double> v_hold(m);
   std::vector<double> last_event_t(m);
 
-  for (std::size_t k = 0; k < lanes; ++k) {
+  for (std::size_t k = 0; k < bank.rows(); ++k) {
     if (!shared_noise && n_draws > 0) {
       Rng rng(derive_seed(lane_noise_seeds_[k], run_));
       rng.fill_gaussian(zbuf.data(), n_draws);
@@ -243,6 +157,7 @@ void CsEncoderBlock::process_batch(
       last_event_t[row] = now;
       if (dt <= 0.0) return;
       const double droop = i_leak * dt / c_h;
+      // Leakage discharges the cap toward ground without crossing zero.
       if (v_hold[row] > 0.0) {
         v_hold[row] = std::max(0.0, v_hold[row] - droop);
       } else {
@@ -262,8 +177,8 @@ void CsEncoderBlock::process_batch(
           const double c_s = c_sample[si % c_sample.size()];
           const double c_h = c_hold[row];
 
-          // Same arithmetic as the scalar path: gaussian(0, sigma) expands
-          // to 0.0 + sigma * z with z from the identical draw sequence.
+          // Sample x_j on C_sample: kT/C sampling noise. gaussian(0, sigma)
+          // written out as 0.0 + sigma * z over the bulk-filled draws.
           double v_s = sampled[f * n_phi + j];
           if (options_.enable_noise) {
             v_s += 0.0 + std::sqrt(kT / c_s) * (*zp++);
@@ -271,6 +186,8 @@ void CsEncoderBlock::process_batch(
 
           apply_leak(row, now, c_h);
 
+          // Passive charge redistribution (Eq. 1) with the actual
+          // capacitors.
           double v_new = (c_s * v_s + c_h * v_hold[row]) / (c_s + c_h);
           if (options_.enable_noise) {
             v_new += 0.0 + std::sqrt(kT / (c_s + c_h)) * (*zp++);
@@ -279,6 +196,7 @@ void CsEncoderBlock::process_batch(
         }
       }
 
+      // Readout at the end of the frame (sequential SAR conversions).
       const double frame_end = static_cast<double>(n_phi) * t_sample;
       for (std::size_t row = 0; row < m; ++row) {
         apply_leak(row, frame_end, c_hold[row]);

@@ -44,7 +44,6 @@ class CsEncoderBlock final : public sim::Block {
                  cs::SparseBinaryMatrix phi, std::uint64_t mismatch_seed,
                  std::uint64_t noise_seed, CsEncoderOptions options = {});
 
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,

@@ -29,82 +29,34 @@ LnaBlock::LnaBlock(std::string name, const power::TechnologyParams& tech,
   params().set("hd3_db", hd3_db);
 }
 
-std::vector<sim::Waveform> LnaBlock::process(
-    const std::vector<sim::Waveform>& in) {
-  sim::WaveformArena scratch;
-  return process(in, scratch);
-}
-
-std::vector<sim::Waveform> LnaBlock::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
-  const sim::Waveform& x = in.at(0);
+void LnaBlock::process_batch(std::size_t lanes,
+                             const std::vector<const sim::LaneBank*>& inputs,
+                             std::vector<sim::LaneBank>& outputs,
+                             sim::WaveformArena& arena) {
+  const sim::LaneBank& x = *inputs.at(0);
   EFF_REQUIRE(!x.empty(), "LNA input is empty");
-  EFF_REQUIRE(x.fs > 2.0 * design_.bw_lna_hz(),
+  EFF_REQUIRE(x.fs() > 2.0 * design_.bw_lna_hz(),
               "simulation rate too low for the LNA bandwidth");
+  const bool shared = lane_noise_seeds_.empty();
+  EFF_REQUIRE(shared || lane_noise_seeds_.size() == lanes,
+              "LNA lane seed count does not match the batch width");
 
   // Input-referred noise: the spec is the rms noise integrated over BW_LNA,
   // so the per-sample sigma of the white stream at rate fs must be scaled by
   // sqrt(fs / (2 BW_LNA)); the low-pass below then leaves exactly the
   // specified in-band rms.
   const double sigma_sample =
-      design_.lna_noise_vrms * std::sqrt(x.fs / (2.0 * design_.bw_lna_hz()));
-
-  Rng rng(derive_seed(seed_, run_));
-  ++run_;
-
-  const std::size_t n = x.size();
-  sim::Waveform out = arena.acquire_waveform(x.fs, n);
-  std::vector<double> noise = arena.acquire(n);
-  rng.fill_gaussian(noise.data(), n);
-
-  auto lpf = dsp::butterworth_lowpass(2, design_.bw_lna_hz(), x.fs);
-  const double g = design_.lna_gain;
-  // Same per-sample arithmetic as the scalar reference, staged over whole
-  // arrays: noise injection + gain, bandwidth limit, compression + clip.
-  for (std::size_t i = 0; i < n; ++i) {
-    out.samples[i] = (x[i] + sigma_sample * noise[i]) * g;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out.samples[i] = lpf.process(out.samples[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = out.samples[i];
-    const double c = v - k3_ * v * v * v;  // 3rd-order compression
-    out.samples[i] = std::clamp(c, -clip_level_, clip_level_);
-  }
-  arena.release(std::move(noise));
-  return {std::move(out)};
-}
-
-void LnaBlock::process_batch(std::size_t lanes,
-                             const std::vector<const sim::LaneBank*>& inputs,
-                             std::vector<sim::LaneBank>& outputs,
-                             sim::WaveformArena& arena) {
-  const bool shared = lane_noise_seeds_.empty();
-  if (shared && inputs.at(0)->uniform()) {
-    // One shared noise stream over one shared input: the base class runs the
-    // scalar path once and broadcasts (run_ advances once, like one lane).
-    sim::Block::process_batch(lanes, inputs, outputs, arena);
-    return;
-  }
-  const sim::LaneBank& x = *inputs.at(0);
-  EFF_REQUIRE(!x.empty(), "LNA input is empty");
-  EFF_REQUIRE(x.fs() > 2.0 * design_.bw_lna_hz(),
-              "simulation rate too low for the LNA bandwidth");
-  EFF_REQUIRE(shared || lane_noise_seeds_.size() == lanes,
-              "LNA lane seed count does not match the batch width");
-
-  const double sigma_sample =
       design_.lna_noise_vrms * std::sqrt(x.fs() / (2.0 * design_.bw_lna_hz()));
   const std::size_t n = x.samples();
-  sim::LaneBank bank =
-      sim::LaneBank::acquire(arena, x.fs(), lanes, n, /*uniform=*/false);
+  // One shared noise stream over one shared input: every lane is the same
+  // row, so it is computed once and emitted as a uniform bank.
+  sim::LaneBank bank = sim::LaneBank::acquire(arena, x.fs(), lanes, n,
+                                              shared && x.uniform());
   std::vector<double> noise = arena.acquire(n);
   const double g = design_.lna_gain;
-  // Per-lane replica of the scalar staging (noise + gain, low-pass,
-  // compression + clip) with lane k's stream — bit-identical to the scalar
-  // instance seeded with that lane's seed at this run index.
-  for (std::size_t k = 0; k < lanes; ++k) {
+  // Row k draws from lane k's stream at this run index: noise injection +
+  // gain, bandwidth limit, compression + clip, staged over whole arrays.
+  for (std::size_t k = 0; k < bank.rows(); ++k) {
     Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_));
     rng.fill_gaussian(noise.data(), n);
     const double* xr = x.lane(k);
@@ -118,7 +70,7 @@ void LnaBlock::process_batch(std::size_t lanes,
     }
     for (std::size_t i = 0; i < n; ++i) {
       const double v = o[i];
-      const double c = v - k3_ * v * v * v;
+      const double c = v - k3_ * v * v * v;  // 3rd-order compression
       o[i] = std::clamp(c, -clip_level_, clip_level_);
     }
   }

@@ -20,9 +20,6 @@ class LnaBlock final : public sim::Block {
            const power::DesignParams& design, std::uint64_t seed,
            double hd3_db = -60.0);
 
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,

@@ -34,63 +34,14 @@ double SampleHoldBlock::kt_c_noise_vrms() const {
   return std::sqrt(units::kBoltzmann * tech_.temperature_k / cap_f_);
 }
 
-std::vector<sim::Waveform> SampleHoldBlock::process(
-    const std::vector<sim::Waveform>& in) {
-  sim::WaveformArena scratch;
-  return process(in, scratch);
-}
-
-std::vector<sim::Waveform> SampleHoldBlock::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
-  const sim::Waveform& x = in.at(0);
-  EFF_REQUIRE(!x.empty(), "S&H input is empty");
-  const double f_sample = design_.f_sample_hz();
-  EFF_REQUIRE(x.fs >= f_sample, "S&H cannot sample above the input rate");
-
-  const auto n_out =
-      static_cast<std::size_t>(std::floor(x.duration_s() * f_sample));
-  std::vector<double> times = arena.acquire(n_out);
-  for (std::size_t k = 0; k < n_out; ++k) {
-    times[k] = static_cast<double>(k) / f_sample;
-  }
-
-  Rng rng(derive_seed(seed_, run_));
-  ++run_;
-  std::vector<double> noise = arena.acquire(n_out);
-  if (jitter_s_ > 0.0) {
-    // Aperture jitter: each sampling instant wanders by a Gaussian offset.
-    rng.fill_gaussian(noise.data(), n_out);
-    for (std::size_t k = 0; k < n_out; ++k) {
-      times[k] += jitter_s_ * noise[k];
-    }
-  }
-  sim::Waveform out = arena.acquire_waveform(f_sample, n_out);
-  dsp::sample_at_times(x.samples, x.fs, times.data(), n_out,
-                       out.samples.data());
-
-  const double sigma = kt_c_noise_vrms();
-  rng.fill_gaussian(noise.data(), n_out);
-  for (std::size_t k = 0; k < n_out; ++k) {
-    out.samples[k] += sigma * noise[k];
-  }
-  arena.release(std::move(noise));
-  arena.release(std::move(times));
-
-  return {std::move(out)};
-}
-
 void SampleHoldBlock::process_batch(
     std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
     std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
-  const bool shared = lane_noise_seeds_.empty();
-  if (shared && inputs.at(0)->uniform()) {
-    sim::Block::process_batch(lanes, inputs, outputs, arena);
-    return;
-  }
   const sim::LaneBank& x = *inputs.at(0);
   EFF_REQUIRE(!x.empty(), "S&H input is empty");
   const double f_sample = design_.f_sample_hz();
   EFF_REQUIRE(x.fs() >= f_sample, "S&H cannot sample above the input rate");
+  const bool shared = lane_noise_seeds_.empty();
   EFF_REQUIRE(shared || lane_noise_seeds_.size() == lanes,
               "S&H lane seed count does not match the batch width");
 
@@ -99,15 +50,17 @@ void SampleHoldBlock::process_batch(
       static_cast<std::size_t>(std::floor(duration_s * f_sample));
   std::vector<double> times = arena.acquire(n_out);
   std::vector<double> noise = arena.acquire(n_out);
-  sim::LaneBank bank =
-      sim::LaneBank::acquire(arena, f_sample, lanes, n_out, /*uniform=*/false);
+  // A shared stream over a uniform input yields one row for every lane.
+  sim::LaneBank bank = sim::LaneBank::acquire(arena, f_sample, lanes, n_out,
+                                              shared && x.uniform());
   const double sigma = kt_c_noise_vrms();
-  for (std::size_t k = 0; k < lanes; ++k) {
+  for (std::size_t k = 0; k < bank.rows(); ++k) {
     for (std::size_t i = 0; i < n_out; ++i) {
       times[i] = static_cast<double>(i) / f_sample;
     }
     Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_));
     if (jitter_s_ > 0.0) {
+      // Aperture jitter: each sampling instant wanders by a Gaussian offset.
       rng.fill_gaussian(noise.data(), n_out);
       for (std::size_t i = 0; i < n_out; ++i) {
         times[i] += jitter_s_ * noise[i];
@@ -116,6 +69,7 @@ void SampleHoldBlock::process_batch(
     double* o = bank.lane(k);
     dsp::sample_at_times(x.lane(k), x.samples(), x.fs(), times.data(), n_out,
                          o);
+    // kT/C noise of the sampling capacitor.
     rng.fill_gaussian(noise.data(), n_out);
     for (std::size_t i = 0; i < n_out; ++i) {
       o[i] += sigma * noise[i];

@@ -17,9 +17,6 @@ class SampleHoldBlock final : public sim::Block {
                   const power::DesignParams& design, std::uint64_t seed,
                   double aperture_jitter_s = 0.0);
 
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,

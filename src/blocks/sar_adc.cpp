@@ -18,10 +18,11 @@ namespace efficsense::blocks {
 namespace {
 
 // Successive approximation over one lane's samples. Samples are independent
-// and the output depends only on the decided code bits, so the batched path
-// may quantize several samples at once without touching each sample's
-// arithmetic: `draws` is the comparator-noise buffer in the scalar order
-// (sample-major, bit-minor).
+// and the output depends only on the decided code bits, so the kernel may
+// quantize several samples at once without touching each sample's
+// arithmetic: `draws` is the comparator-noise buffer in sample-major,
+// bit-minor order. This portable loop is the reference the AVX2 variant
+// matches bit for bit, and the tail handler for its last samples.
 void sar_quantize_scalar(const double* xr, double* o, const double* draws,
                          const double* w, int n, std::size_t n_samples,
                          double v_fs, double sigma_cmp_norm,
@@ -48,7 +49,7 @@ void sar_quantize_scalar(const double* xr, double* o, const double* draws,
 // mask, `level` updates through a blend, and the code accumulates the bit
 // values as exact small integers in doubles (sums stay below 2^bits, so
 // every partial sum is representable). mul and add stay separate — the
-// scalar oracle is built without FMA contraction, so fusing here would
+// portable loop is built without FMA contraction, so fusing here would
 // change the decided codes near comparator-threshold ties.
 __attribute__((target("avx2"))) void sar_quantize_avx2(
     const double* xr, double* o, const double* draws, const double* w, int n,
@@ -89,6 +90,11 @@ __attribute__((target("avx2"))) void sar_quantize_avx2(
         half_fs);
     _mm256_storeu_pd(o + i, vhat);
   }
+  // Clear the upper YMM halves before returning to SSE code: the compiler
+  // emits no vzeroupper here, and dirty upper state slows every later
+  // SSE-encoded libm call (the Box-Muller log/sin/cos of the noise fills)
+  // several-fold.
+  _mm256_zeroupper();
   sar_quantize_scalar(xr + i, o + i, draws + i * static_cast<std::size_t>(n),
                       w, n, n_samples - i, v_fs, sigma_cmp_norm, code_scale);
 }
@@ -158,72 +164,14 @@ double SarAdcBlock::lsb() const {
   return design_.v_fs / std::pow(2.0, design_.adc_bits);
 }
 
-std::vector<sim::Waveform> SarAdcBlock::process(
-    const std::vector<sim::Waveform>& in) {
-  sim::WaveformArena scratch;
-  return process(in, scratch);
-}
-
-std::vector<sim::Waveform> SarAdcBlock::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
-  const sim::Waveform& x = in.at(0);
-  EFF_REQUIRE(!x.empty(), "ADC input is empty");
-
-  const int n = design_.adc_bits;
-  const double v_fs = design_.v_fs;
-  const double sigma_cmp_norm = design_.comparator_noise_vrms / v_fs;
-
-  Rng rng(derive_seed(noise_seed_, run_));
-  ++run_;
-
-  const std::size_t n_samples = x.size();
-  sim::Waveform out = arena.acquire_waveform(x.fs, n_samples);
-  const double code_scale = 1.0 / std::pow(2.0, n);
-
-  // One comparator-noise draw per bit decision, bulk-generated in the same
-  // order the scalar loop consumed them (sample-major, bit-minor).
-  const std::size_t n_draws = n_samples * static_cast<std::size_t>(n);
-  std::vector<double> noise = arena.acquire(n_draws);
-  rng.fill_gaussian(noise.data(), n_draws);
-
-  const double* draw = noise.data();
-  for (std::size_t i = 0; i < n_samples; ++i) {
-    // Normalize the bipolar input to [0, 1]; saturate outside full scale.
-    double v_norm = std::clamp((x[i] + v_fs / 2.0) / v_fs, 0.0, 1.0);
-
-    // Successive approximation with the mismatched hardware weights.
-    double level = 0.0;
-    std::uint64_t code = 0;
-    for (int b = 0; b < n; ++b) {
-      const double trial = level + weights_[b];
-      const double decision = v_norm + sigma_cmp_norm * (*draw++);
-      if (decision >= trial) {
-        level = trial;
-        code |= (1ULL << (n - 1 - b));
-      }
-    }
-
-    // Receiver-side reconstruction with *nominal* binary weights (mid-tread).
-    const double v_hat =
-        (static_cast<double>(code) + 0.5) * code_scale * v_fs - v_fs / 2.0;
-    out.samples[i] = v_hat;
-  }
-  arena.release(std::move(noise));
-  return {std::move(out)};
-}
-
 void SarAdcBlock::process_batch(
     std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
     std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
-  const bool shared_noise = lane_noise_seeds_.empty();
-  if (lane_weights_.empty() && shared_noise && inputs.at(0)->uniform()) {
-    sim::Block::process_batch(lanes, inputs, outputs, arena);
-    return;
-  }
   const sim::LaneBank& x = *inputs.at(0);
   EFF_REQUIRE(!x.empty(), "ADC input is empty");
   EFF_REQUIRE(lane_weights_.empty() || lane_weights_.size() == lanes,
               "ADC lane mismatch-instance count does not match the batch width");
+  const bool shared_noise = lane_noise_seeds_.empty();
   EFF_REQUIRE(shared_noise || lane_noise_seeds_.size() == lanes,
               "ADC lane noise seed count does not match the batch width");
 
@@ -234,22 +182,28 @@ void SarAdcBlock::process_batch(
   const std::size_t n_samples = x.samples();
   const std::size_t n_draws = n_samples * static_cast<std::size_t>(n);
 
-  sim::LaneBank bank =
-      sim::LaneBank::acquire(arena, x.fs(), lanes, n_samples,
-                             /*uniform=*/false);
+  // One DAC instance and one comparator stream over a uniform input: every
+  // lane is the same row, computed once.
+  sim::LaneBank bank = sim::LaneBank::acquire(
+      arena, x.fs(), lanes, n_samples,
+      lane_weights_.empty() && shared_noise && x.uniform());
+  // One comparator-noise draw per bit decision, bulk-generated in the order
+  // the successive approximation consumes them (sample-major, bit-minor).
   std::vector<double> noise = arena.acquire(n_draws);
   if (shared_noise) {
-    // One shared comparator stream: K scalar instances seeded identically
-    // would each draw this exact sequence, so one bulk fill serves all
-    // lanes (the per-lane draw pointer simply restarts at the front).
+    // One shared comparator stream: K instances seeded identically would
+    // each draw this exact sequence, so one bulk fill serves all rows (the
+    // per-row draw pointer simply restarts at the front).
     Rng rng(derive_seed(noise_seed_, run_));
     rng.fill_gaussian(noise.data(), n_draws);
   }
-  for (std::size_t k = 0; k < lanes; ++k) {
+  for (std::size_t k = 0; k < bank.rows(); ++k) {
     if (!shared_noise) {
       Rng rng(derive_seed(lane_noise_seeds_[k], run_));
       rng.fill_gaussian(noise.data(), n_draws);
     }
+    // Successive approximation with the mismatched hardware weights;
+    // receiver-side reconstruction with *nominal* binary weights.
     const std::vector<double>& w =
         lane_weights_.empty() ? weights_ : lane_weights_[k];
     sar_quantize_lane(x.lane(k), bank.lane(k), noise.data(), w.data(), n,

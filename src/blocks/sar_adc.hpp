@@ -22,9 +22,6 @@ class SarAdcBlock final : public sim::Block {
               const power::DesignParams& design, std::uint64_t mismatch_seed,
               std::uint64_t noise_seed, bool include_sampling_network = false);
 
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,

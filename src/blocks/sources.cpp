@@ -17,22 +17,17 @@ WaveformSource::WaveformSource(std::string name, sim::Waveform initial)
 
 void WaveformSource::set_waveform(sim::Waveform w) { waveform_ = std::move(w); }
 
-std::vector<sim::Waveform> WaveformSource::process(
-    const std::vector<sim::Waveform>& in) {
-  EFF_REQUIRE(in.empty(), "source takes no inputs");
-  EFF_REQUIRE(!waveform_.empty(), "WaveformSource has no waveform set");
-  return {waveform_};
-}
-
-std::vector<sim::Waveform> WaveformSource::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
-  EFF_REQUIRE(in.empty(), "source takes no inputs");
+void WaveformSource::process_batch(
+    std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
+    std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
+  EFF_REQUIRE(inputs.empty(), "source takes no inputs");
   EFF_REQUIRE(!waveform_.empty(), "WaveformSource has no waveform set");
   // Copy into an arena buffer so repeated runs reuse the same capacity.
-  sim::Waveform out = arena.acquire_waveform(waveform_.fs, waveform_.size());
+  sim::LaneBank bank = sim::LaneBank::acquire(
+      arena, waveform_.fs, lanes, waveform_.size(), /*uniform=*/true);
   std::copy(waveform_.samples.begin(), waveform_.samples.end(),
-            out.samples.begin());
-  return {std::move(out)};
+            bank.lane(0));
+  outputs.push_back(std::move(bank));
 }
 
 SineSource::SineSource(std::string name, double fs, double duration_s,
@@ -53,24 +48,22 @@ SineSource::SineSource(std::string name, double fs, double duration_s,
   params().set("amplitude", amplitude);
 }
 
-std::vector<sim::Waveform> SineSource::process(
-    const std::vector<sim::Waveform>& in) {
-  sim::WaveformArena scratch;
-  return process(in, scratch);
-}
-
-std::vector<sim::Waveform> SineSource::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
-  EFF_REQUIRE(in.empty(), "source takes no inputs");
+void SineSource::process_batch(std::size_t lanes,
+                               const std::vector<const sim::LaneBank*>& inputs,
+                               std::vector<sim::LaneBank>& outputs,
+                               sim::WaveformArena& arena) {
+  EFF_REQUIRE(inputs.empty(), "source takes no inputs");
   const auto n = static_cast<std::size_t>(fs_ * duration_s_);
-  sim::Waveform out = arena.acquire_waveform(fs_, n);
+  sim::LaneBank bank =
+      sim::LaneBank::acquire(arena, fs_, lanes, n, /*uniform=*/true);
+  double* out = bank.lane(0);
   for (std::size_t k = 0; k < n; ++k) {
     const double t = static_cast<double>(k) / fs_;
-    out.samples[k] = offset_ + amplitude_ * std::sin(2.0 * std::numbers::pi *
-                                                         freq_hz_ * t +
-                                                     phase_rad_);
+    out[k] = offset_ + amplitude_ * std::sin(2.0 * std::numbers::pi *
+                                                 freq_hz_ * t +
+                                             phase_rad_);
   }
-  return {std::move(out)};
+  outputs.push_back(std::move(bank));
 }
 
 }  // namespace efficsense::blocks

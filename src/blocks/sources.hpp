@@ -15,9 +15,11 @@ class WaveformSource final : public sim::Block, public sim::WaveformSettable {
   WaveformSource(std::string name, sim::Waveform initial);
 
   void set_waveform(sim::Waveform w) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
+  /// Emits the waveform as one uniform (broadcast) bank.
+  void process_batch(std::size_t lanes,
+                     const std::vector<const sim::LaneBank*>& inputs,
+                     std::vector<sim::LaneBank>& outputs,
+                     sim::WaveformArena& arena) override;
 
  private:
   sim::Waveform waveform_;
@@ -29,9 +31,11 @@ class SineSource final : public sim::Block {
   SineSource(std::string name, double fs, double duration_s, double freq_hz,
              double amplitude, double offset = 0.0, double phase_rad = 0.0);
 
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
+  /// Emits the tone as one uniform (broadcast) bank.
+  void process_batch(std::size_t lanes,
+                     const std::vector<const sim::LaneBank*>& inputs,
+                     std::vector<sim::LaneBank>& outputs,
+                     sim::WaveformArena& arena) override;
 
  private:
   double fs_;

@@ -28,32 +28,6 @@ TransmitterBlock::TransmitterBlock(std::string name,
   params().set("ber", ber_);
 }
 
-std::vector<sim::Waveform> TransmitterBlock::process(
-    const std::vector<sim::Waveform>& in) {
-  sim::Waveform out = in.at(0);
-  const int n = design_.adc_bits;
-  bits_sent_ = static_cast<std::uint64_t>(out.size()) *
-               static_cast<std::uint64_t>(design_.tx_bits());
-
-  if (ber_ > 0.0) {
-    Rng rng(derive_seed(seed_, run_));
-    const double v_fs = design_.v_fs;
-    const double levels = std::pow(2.0, n);
-    for (double& v : out.samples) {
-      // Recover the mid-tread code this voltage represents.
-      auto code = static_cast<std::int64_t>(
-          std::floor((v + v_fs / 2.0) / v_fs * levels));
-      code = std::clamp<std::int64_t>(code, 0, static_cast<std::int64_t>(levels) - 1);
-      for (int b = 0; b < n; ++b) {
-        if (rng.chance(ber_)) code ^= (1LL << b);
-      }
-      v = (static_cast<double>(code) + 0.5) / levels * v_fs - v_fs / 2.0;
-    }
-  }
-  ++run_;
-  return {std::move(out)};
-}
-
 void TransmitterBlock::process_batch(
     std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
     std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
@@ -77,16 +51,19 @@ void TransmitterBlock::process_batch(
   const double v_fs = design_.v_fs;
   const double levels = std::pow(2.0, n_bits);
   const std::size_t n = x.samples();
-  sim::LaneBank bank =
-      sim::LaneBank::acquire(arena, x.fs(), lanes, n, /*uniform=*/false);
-  for (std::size_t k = 0; k < lanes; ++k) {
-    // Each lane replays the scalar per-run stream: shared mode re-seeds the
-    // same generator per lane (identical flips across lanes, as K scalar
-    // instances with one seed would see); per-lane seeds draw independently.
+  // A shared channel stream over a uniform input flips the same bits in
+  // every lane: one row serves them all.
+  sim::LaneBank bank = sim::LaneBank::acquire(arena, x.fs(), lanes, n,
+                                              shared && x.uniform());
+  for (std::size_t k = 0; k < bank.rows(); ++k) {
+    // Each row replays the per-run stream: shared mode re-seeds the same
+    // generator per row (identical flips across lanes, as K instances with
+    // one seed would see); per-lane seeds draw independently.
     Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_));
     const double* xr = x.lane(k);
     double* o = bank.lane(k);
     for (std::size_t i = 0; i < n; ++i) {
+      // Recover the mid-tread code this voltage represents.
       auto code = static_cast<std::int64_t>(
           std::floor((xr[i] + v_fs / 2.0) / v_fs * levels));
       code = std::clamp<std::int64_t>(code, 0,

@@ -16,7 +16,6 @@ class TransmitterBlock final : public sim::Block {
                    const power::DesignParams& design, std::uint64_t seed,
                    double bit_error_rate = 0.0);
 
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,

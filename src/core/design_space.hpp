@@ -2,6 +2,9 @@
 // Compatibility shim: DesignSpace moved to the architecture layer
 // (arch/design_space.hpp) so scenario specs can enumerate spaces without a
 // core dependency. Everything re-exports under efficsense::core.
+//
+// Keep this header: the benchmark program (perfbench/offline.cpp) includes
+// it, and the benchmark builds from its own frozen sources.
 
 #include "arch/design_space.hpp"
 

@@ -75,7 +75,9 @@ std::uint64_t Evaluator::config_digest() const {
   append_bits(bytes, tech_.temperature_k);
   // Reconstruction configuration.
   const auto& rc = options_.recon;
-  bytes.push_back(static_cast<char>(rc.algorithm));
+  // Retired algorithm-enum byte: always the old default (0), so digests
+  // keep their byte layout.
+  bytes.push_back(0);
   bytes.push_back(static_cast<char>(rc.basis));
   append_u64(bytes, rc.sparsity);
   append_bits(bytes, rc.residual_tol);
@@ -117,7 +119,7 @@ Evaluator::SegmentOutcome Evaluator::process_segment(
     sim::Model& chain, const arch::Decoder& decoder,
     const power::DesignParams& design, const sim::Waveform& clean) const {
   SegmentOutcome out;
-  const sim::Waveform received = run_chain(chain, clean);
+  const sim::Waveform received = arch::run_chain(chain, clean);
 
   // At LNA-output scale; rate f_sample for reconstructing decoders, the
   // compressed f_sample * M / N_Phi for the measurement-domain path.
@@ -217,7 +219,7 @@ EvalMetrics Evaluator::evaluate(const power::DesignParams& design) const {
 
 std::vector<EvalMetrics> Evaluator::evaluate_lanes(
     const power::DesignParams& design,
-    const std::vector<ChainSeeds>& lane_seeds) const {
+    const std::vector<arch::ChainSeeds>& lane_seeds) const {
   if (lane_seeds.size() < 2) return {};  // scalar path covers K <= 1
   design.validate();
   const arch::Architecture& architecture =
@@ -266,7 +268,7 @@ std::vector<EvalMetrics> Evaluator::evaluate_lanes(
   for (std::size_t i = 0; i < limit; ++i) {
     const auto& segment = dataset_->segments[i];
     const sim::LaneBank& received =
-        run_chain_batch(*chain, segment.waveform, lanes);
+        arch::run_chain_batch(*chain, segment.waveform, lanes);
     for (std::size_t k = 0; k < lanes; ++k) rows[k] = received.lane(k);
     const auto signals =
         decoder->decode_lanes(rows, received.samples(), pool_);

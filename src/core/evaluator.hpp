@@ -11,8 +11,8 @@
 #include <string>
 
 #include "arch/architecture.hpp"
+#include "arch/chain.hpp"
 #include "classify/detector.hpp"
-#include "core/chain.hpp"
 #include "eeg/dataset.hpp"
 #include "power/area.hpp"
 #include "sim/report.hpp"
@@ -25,7 +25,7 @@ namespace efficsense::core {
 
 struct EvalOptions {
   cs::ReconstructorConfig recon;
-  ChainSeeds seeds;
+  arch::ChainSeeds seeds;
   /// Evaluate at most this many segments (0 = all).
   std::size_t max_segments = 0;
   /// Architecture id ("" or "auto" selects by design, the legacy
@@ -67,7 +67,7 @@ class Evaluator {
   /// width.
   std::vector<EvalMetrics> evaluate_lanes(
       const power::DesignParams& design,
-      const std::vector<ChainSeeds>& lane_seeds) const;
+      const std::vector<arch::ChainSeeds>& lane_seeds) const;
 
   /// Process one segment through an existing chain; returns the received
   /// signal at f_sample scale (input-referred: LNA gain divided out) plus
@@ -94,7 +94,7 @@ class Evaluator {
   /// silently mixing results.
   std::uint64_t config_digest() const;
   /// Replace the chain seeds (Monte-Carlo fabrication sweeps).
-  void set_seeds(const ChainSeeds& seeds) { options_.seeds = seeds; }
+  void set_seeds(const arch::ChainSeeds& seeds) { options_.seeds = seeds; }
   /// Optional pool for fanning per-window reconstructions out (non-owning).
   /// Results are identical to the serial path.
   void set_pool(ThreadPool* pool) { pool_ = pool; }

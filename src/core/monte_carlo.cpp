@@ -65,7 +65,7 @@ MonteCarloResult monte_carlo(
   // (and the sensing-matrix draw stays fixed — it is programmed, not
   // fabricated).
   const auto seeds_for = [&](std::size_t i) {
-    ChainSeeds seeds = evaluator.options().seeds;
+    arch::ChainSeeds seeds = evaluator.options().seeds;
     seeds.mismatch = derive_seed(options.seed, 2 * i);
     if (options.vary_noise_streams) {
       seeds.noise = derive_seed(options.seed, 2 * i + 1);
@@ -110,7 +110,7 @@ MonteCarloResult monte_carlo(
     const std::size_t first = g * lane_width;
     const std::size_t count =
         std::min(lane_width, options.instances - first);
-    std::vector<ChainSeeds> lane_seeds(count);
+    std::vector<arch::ChainSeeds> lane_seeds(count);
     for (std::size_t k = 0; k < count; ++k) {
       lane_seeds[k] = seeds_for(first + k);
     }

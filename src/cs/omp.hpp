@@ -7,7 +7,7 @@
 //    frame, then update atom correlations through G columns instead of
 //    re-touching the residual. Per-iteration cost drops from O(M*K) to
 //    O(K*k); the Gram is amortized over every frame solved against the same
-//    dictionary (and, via core::ReconstructorCache, over Monte-Carlo
+//    dictionary (and, via arch::ReconstructorCache, over Monte-Carlo
 //    instances and sweep points sharing a design).
 //  - Naive: explicit residual re-correlation each iteration. Kept as the
 //    reference oracle the equivalence tests check Batch against.

@@ -10,18 +10,6 @@
 
 namespace efficsense::cs {
 
-std::string recon_algorithm_id(ReconAlgorithm algorithm) {
-  switch (algorithm) {
-    case ReconAlgorithm::Omp:
-      return "omp";
-    case ReconAlgorithm::Iht:
-      return "iht";
-    case ReconAlgorithm::Ista:
-      return "ista";
-  }
-  throw Error("invalid ReconAlgorithm value");
-}
-
 Reconstructor::Reconstructor(const SparseBinaryMatrix& phi,
                              ChargeSharingGains gains,
                              ReconstructorConfig config)

@@ -25,23 +25,13 @@ class ThreadPool;
 
 namespace efficsense::cs {
 
-/// Deprecated compat shim over the SolverRegistry ids: kept so existing
-/// configs keep compiling, mapped to "omp"/"iht"/"ista" by solver_id().
-/// New code (and everything sweepable) uses ReconstructorConfig::solver.
-enum class ReconAlgorithm { Omp, Iht, Ista };
 enum class BasisKind { Dct, Db4 };
-
-/// Registry id behind a legacy enum value.
-std::string recon_algorithm_id(ReconAlgorithm algorithm);
 
 struct ReconstructorConfig {
   /// Registry id of the recovery solver ("omp", "iht", "ista", "bsbl",
-  /// "amp", "compressed_domain", ...). Empty falls back to the deprecated
-  /// `algorithm` enum below; solver_id() resolves the effective id.
+  /// "amp", "compressed_domain", ...). Empty selects "omp"; solver_id()
+  /// resolves the effective id.
   std::string solver;
-  /// Deprecated: pre-registry algorithm selector, honoured only while
-  /// `solver` is empty.
-  ReconAlgorithm algorithm = ReconAlgorithm::Omp;
   /// Sparsifying basis: DCT (default) or Daubechies-4 wavelets. Both order
   /// atoms smooth-first, so the basis_atoms truncation applies equally.
   BasisKind basis = BasisKind::Dct;
@@ -59,10 +49,8 @@ struct ReconstructorConfig {
   /// OMP selection engine; Naive is the reference oracle for tests.
   OmpMode omp_mode = OmpMode::Batch;
 
-  /// Effective registry id: `solver` when set, else the legacy enum mapping.
-  std::string solver_id() const {
-    return solver.empty() ? recon_algorithm_id(algorithm) : solver;
-  }
+  /// Effective registry id: `solver` when set, else "omp".
+  std::string solver_id() const { return solver.empty() ? "omp" : solver; }
 };
 
 class Reconstructor {

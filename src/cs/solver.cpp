@@ -242,9 +242,8 @@ SolverRegistry& SolverRegistry::instance() {
 SolverRegistry::SolverRegistry() {
   // Built-ins are registered here, not via static SolverRegistrar objects, so
   // linking the cs library as a static archive cannot dead-strip them. The
-  // registration order fixes the numeric axis codes: omp=0, iht=1, ista=2
-  // (matching the deprecated ReconAlgorithm enum), bsbl=3, amp=4,
-  // compressed_domain=5.
+  // registration order fixes the numeric axis codes: omp=0, iht=1, ista=2,
+  // bsbl=3, amp=4, compressed_domain=5.
   add(std::make_unique<OmpSolverEntry>());
   add(std::make_unique<IhtSolverEntry>());
   add(std::make_unique<IstaSolverEntry>());

@@ -94,7 +94,7 @@ class SparseSolver {
 /// Process-wide, thread-safe id -> SparseSolver registry. Construction
 /// registers the built-ins. Each solver also gets a stable numeric code
 /// (registration order) so "solver" can be swept like any numeric design
-/// axis; codes 0..2 coincide with the deprecated ReconAlgorithm enum values.
+/// axis.
 class SolverRegistry {
  public:
   static SolverRegistry& instance();

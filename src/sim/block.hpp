@@ -30,38 +30,34 @@ class Block {
   std::size_t num_inputs() const { return num_inputs_; }
   std::size_t num_outputs() const { return num_outputs_; }
 
-  /// Functional model: consume one waveform per input port, produce one per
-  /// output port. Called once per simulation run.
-  virtual std::vector<Waveform> process(const std::vector<Waveform>& inputs) = 0;
+  // A block overrides exactly one of process() and process_batch(); the
+  // default of each is written in terms of the other (DESIGN.md §8).
 
-  /// Arena-aware variant used by Model::run(): output (and scratch) buffers
-  /// may be acquired from `arena`, whose storage is recycled between runs.
-  /// Blocks without a vectorized hot loop fall through to plain process();
-  /// hot blocks override both, with the plain overload delegating to this
-  /// one through a throwaway arena.
-  virtual std::vector<Waveform> process(const std::vector<Waveform>& inputs,
-                                        WaveformArena& arena) {
-    (void)arena;
-    return process(inputs);
-  }
+  /// Functional model, the scalar authoring API: consume one waveform per
+  /// input port, produce one per output port. The default wraps the inputs
+  /// as one-lane banks, runs process_batch() at K=1 over a scratch arena
+  /// and returns lane 0 — so a block that only writes its lane kernel is
+  /// still callable one waveform at a time.
+  virtual std::vector<Waveform> process(const std::vector<Waveform>& inputs);
 
-  /// Batched (K-lane) variant used by Model::run_batch(): one call advances
-  /// all `lanes` Monte-Carlo lanes of this block at once. `inputs` holds one
-  /// LaneBank per input port; the implementation must append exactly
-  /// num_outputs() banks (each with `lanes` lanes) to `outputs`.
+  /// The kernel Model::run() (K=1) and Model::run_batch() call: one call
+  /// advances all `lanes` Monte-Carlo lanes of this block at once. `inputs`
+  /// holds one LaneBank per input port; the implementation must append
+  /// exactly num_outputs() banks (each with `lanes` lanes) to `outputs`,
+  /// taking their storage from `arena`.
   ///
-  /// Default contract (see DESIGN.md §12):
+  /// Default contract, for blocks that only override process():
   ///  - all inputs uniform -> the block is assumed lane-invariant: process()
   ///    runs ONCE and the result is broadcast as a uniform bank. This is
   ///    bit-exact for every block whose state is shared across lanes
   ///    (deterministic blocks, and noise blocks when all lanes share one
   ///    noise stream), and advances any per-run RNG state exactly once —
   ///    just like one scalar instance would.
-  ///  - some input per-lane -> per-lane scalar fallback: process() runs once
-  ///    per lane. This keeps unconverted blocks running under the batched
+  ///  - some input per-lane -> per-lane fallback: process() runs once per
+  ///    lane. This keeps process()-only blocks running under the batched
   ///    path, but re-runs per-run RNG streams K times; blocks that hold
   ///    per-run noise state or per-lane fabrication state MUST override
-  ///    this method to stay bit-identical to the scalar oracle.
+  ///    this method instead to stay bit-identical per lane.
   virtual void process_batch(std::size_t lanes,
                              const std::vector<const LaneBank*>& inputs,
                              std::vector<LaneBank>& outputs,
@@ -85,6 +81,7 @@ class Block {
   std::size_t num_inputs_;
   std::size_t num_outputs_;
   ParameterSet params_;
+  bool in_fallback_ = false;  // default process_batch() is calling process()
 };
 
 using BlockPtr = std::unique_ptr<Block>;

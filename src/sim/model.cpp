@@ -8,12 +8,11 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/csv.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace efficsense::sim {
 
-Model::Model() : fast_path_(env_bool("EFFICSENSE_SIM_HOT", true)) {}
+Model::Model() = default;
 
 BlockId Model::add(BlockPtr block) {
   EFF_REQUIRE(block != nullptr, "cannot add a null block");
@@ -160,27 +159,37 @@ void Model::ensure_plan() {
     }
   }
 
-  input_scratch_.resize(plan_.size());
-  for (std::size_t i = 0; i < plan_.size(); ++i) {
-    input_scratch_[i].resize(blocks_[plan_[i].id]->num_inputs());
-  }
-  if (slot_outputs_.size() < num_slots_) slot_outputs_.resize(num_slots_);
+  if (bank_slots_.size() < num_slots_) bank_slots_.resize(num_slots_);
 
   plan_valid_ = true;
 }
 
 std::vector<Waveform> Model::run() {
-  using clock = std::chrono::steady_clock;
   EFFICSENSE_SPAN("sim/run");
-  const auto run_start = clock::now();
-  if (!fast_path_) {
-    // Legacy cost profile: re-plan the graph and reallocate every buffer.
-    plan_valid_ = false;
-    arena_.clear();
-    input_scratch_.clear();
-    slot_outputs_.clear();
-    slots_written_ = 0;
+  execute(1, /*batch=*/false);
+  std::vector<Waveform> model_outputs;
+  model_outputs.reserve(model_output_slots_.size());
+  for (const std::size_t slot : model_output_slots_) {
+    model_outputs.push_back(bank_slots_[slot].lane_waveform(0));
   }
+  return model_outputs;
+}
+
+std::vector<const LaneBank*> Model::run_batch(std::size_t lanes) {
+  EFF_REQUIRE(lanes >= 1, "run_batch needs at least one lane");
+  EFFICSENSE_SPAN("sim/run_batch");
+  execute(lanes, /*batch=*/true);
+  std::vector<const LaneBank*> model_outputs;
+  model_outputs.reserve(model_output_slots_.size());
+  for (const std::size_t slot : model_output_slots_) {
+    model_outputs.push_back(&bank_slots_[slot]);
+  }
+  return model_outputs;
+}
+
+void Model::execute(std::size_t lanes, bool batch) {
+  using clock = std::chrono::steady_clock;
+  const auto run_start = clock::now();
   ensure_plan();
   if (run_stats_.blocks.size() != blocks_.size()) {
     run_stats_.blocks.resize(blocks_.size());
@@ -189,29 +198,29 @@ std::vector<Waveform> Model::run() {
     }
   }
 
-  // Recycle last run's buffers; blocks re-acquire them below.
-  for (auto& w : slot_outputs_) {
-    arena_.release(std::move(w.samples));
-    w.samples.clear();
-    w.fs = 0.0;
-  }
-  slots_written_ = 0;
+  // Recycle last run's bank storage; blocks re-acquire it below.
+  for (auto& bank : bank_slots_) bank.release_to(arena_);
+  bank_slots_written_ = 0;
 
-  obs::Histogram& block_run_hist = obs::histogram("time/block_run");
-  for (std::size_t i = 0; i < plan_.size(); ++i) {
-    const StepPlan& step = plan_[i];
+  if (batch) {
+    obs::counter("sim/batch_runs").inc();
+    obs::counter("sim/lanes_active").inc(lanes);
+  }
+  obs::Histogram& step_hist =
+      obs::histogram(batch ? "time/batch_block_run" : "time/block_run");
+  const char* span_prefix = batch ? "batch_block/" : "block/";
+  std::vector<const LaneBank*> inputs;
+  std::vector<LaneBank> outputs;
+  for (const StepPlan& step : plan_) {
     Block& b = *blocks_[step.id];
-    // Copy inputs into persistent per-step scratch: capacity is retained,
-    // so the steady state is one memcpy per edge and no allocation.
-    std::vector<Waveform>& inputs = input_scratch_[i];
-    for (std::size_t p = 0; p < step.input_slots.size(); ++p) {
-      const Waveform& src = slot_outputs_[step.input_slots[p]];
-      inputs[p].fs = src.fs;
-      inputs[p].samples.assign(src.samples.begin(), src.samples.end());
+    inputs.clear();
+    for (const std::size_t slot : step.input_slots) {
+      inputs.push_back(&bank_slots_[slot]);
     }
-    obs::Span span("block/", b.name());
+    outputs.clear();
+    obs::Span span(span_prefix, b.name());
     const auto block_start = clock::now();
-    auto outputs = b.process(inputs, arena_);
+    b.process_batch(lanes, inputs, outputs, arena_);
     const double seconds =
         std::chrono::duration<double>(clock::now() - block_start).count();
     EFF_REQUIRE(outputs.size() == b.num_outputs(),
@@ -220,68 +229,7 @@ std::vector<Waveform> Model::run() {
     bs.runs += 1;
     bs.seconds += seconds;
     obs::histogram(step.time_hist_name).observe(seconds);
-    block_run_hist.observe(seconds);
-    for (std::size_t p = 0; p < outputs.size(); ++p) {
-      bs.samples_out += outputs[p].samples.size();
-      slot_outputs_[step.first_output_slot + p] = std::move(outputs[p]);
-    }
-  }
-  slots_written_ = num_slots_;
-  run_stats_.runs += 1;
-  run_stats_.total_seconds +=
-      std::chrono::duration<double>(clock::now() - run_start).count();
-
-  std::vector<Waveform> model_outputs;
-  model_outputs.reserve(model_output_slots_.size());
-  for (const std::size_t slot : model_output_slots_) {
-    model_outputs.push_back(slot_outputs_[slot]);
-  }
-  return model_outputs;
-}
-
-std::vector<const LaneBank*> Model::run_batch(std::size_t lanes) {
-  using clock = std::chrono::steady_clock;
-  EFF_REQUIRE(lanes >= 1, "run_batch needs at least one lane");
-  EFFICSENSE_SPAN("sim/run_batch");
-  const auto run_start = clock::now();
-  ensure_plan();
-  if (run_stats_.blocks.size() != blocks_.size()) {
-    run_stats_.blocks.resize(blocks_.size());
-    for (std::size_t id = 0; id < blocks_.size(); ++id) {
-      run_stats_.blocks[id].name = blocks_[id]->name();
-    }
-  }
-
-  // Recycle last batch's bank storage; blocks re-acquire it below.
-  if (bank_slots_.size() < num_slots_) bank_slots_.resize(num_slots_);
-  for (auto& bank : bank_slots_) bank.release_to(arena_);
-  bank_slots_written_ = 0;
-
-  obs::counter("sim/batch_runs").inc();
-  obs::counter("sim/lanes_active").inc(lanes);
-  obs::Histogram& batch_block_hist = obs::histogram("time/batch_block_run");
-  std::vector<const LaneBank*> inputs;
-  std::vector<LaneBank> outputs;
-  for (std::size_t i = 0; i < plan_.size(); ++i) {
-    const StepPlan& step = plan_[i];
-    Block& b = *blocks_[step.id];
-    inputs.clear();
-    for (const std::size_t slot : step.input_slots) {
-      inputs.push_back(&bank_slots_[slot]);
-    }
-    outputs.clear();
-    obs::Span span("batch_block/", b.name());
-    const auto block_start = clock::now();
-    b.process_batch(lanes, inputs, outputs, arena_);
-    const double seconds =
-        std::chrono::duration<double>(clock::now() - block_start).count();
-    EFF_REQUIRE(outputs.size() == b.num_outputs(),
-                "block " + b.name() + " produced wrong number of output banks");
-    auto& bs = run_stats_.blocks[step.id];
-    bs.runs += 1;
-    bs.seconds += seconds;
-    obs::histogram(step.time_hist_name).observe(seconds);
-    batch_block_hist.observe(seconds);
+    step_hist.observe(seconds);
     for (std::size_t p = 0; p < outputs.size(); ++p) {
       EFF_REQUIRE(outputs[p].lanes() == lanes,
                   "block " + b.name() + " emitted a wrong lane count");
@@ -293,13 +241,6 @@ std::vector<const LaneBank*> Model::run_batch(std::size_t lanes) {
   run_stats_.runs += 1;
   run_stats_.total_seconds +=
       std::chrono::duration<double>(clock::now() - run_start).count();
-
-  std::vector<const LaneBank*> model_outputs;
-  model_outputs.reserve(model_output_slots_.size());
-  for (const std::size_t slot : model_output_slots_) {
-    model_outputs.push_back(&bank_slots_[slot]);
-  }
-  return model_outputs;
 }
 
 const LaneBank& Model::probe_batch(const std::string& block_name,
@@ -309,31 +250,17 @@ const LaneBank& Model::probe_batch(const std::string& block_name,
               "probe port out of range on " + block_name);
   const bool recorded = id < slot_of_block_.size() &&
                         slot_of_block_[id] + port < bank_slots_written_;
-  EFF_REQUIRE(recorded, "no recorded bank for " + block_name +
-                            " (run_batch the model first)");
+  EFF_REQUIRE(recorded,
+              "no recorded output for " + block_name + " (run the model first)");
   return bank_slots_[slot_of_block_[id] + port];
 }
 
-const Waveform& Model::probe(const std::string& block_name,
-                             std::size_t port) const {
-  const BlockId id = id_of(block_name);
-  EFF_REQUIRE(port < blocks_[id]->num_outputs(),
-              "probe port out of range on " + block_name);
-  const bool recorded = id < slot_of_block_.size() &&
-                        slot_of_block_[id] + port < slots_written_;
-  EFF_REQUIRE(recorded,
-              "no recorded output for " + block_name + " (run the model first)");
-  return slot_outputs_[slot_of_block_[id] + port];
+Waveform Model::probe(const std::string& block_name, std::size_t port) const {
+  return probe_batch(block_name, port).lane_waveform(0);
 }
 
 void Model::reset() {
   for (auto& b : blocks_) b->reset();
-  for (auto& w : slot_outputs_) {
-    arena_.release(std::move(w.samples));
-    w.samples.clear();
-    w.fs = 0.0;
-  }
-  slots_written_ = 0;
   for (auto& bank : bank_slots_) bank.release_to(arena_);
   bank_slots_written_ = 0;
 }

@@ -3,12 +3,12 @@
 // executed once per run. Unconnected output ports become the model outputs
 // (scopes); blocks without inputs are sources.
 //
-// Monte-Carlo hot path: the topological schedule and the port-routing
+// One executor: run_batch(K) walks the cached schedule once and advances
+// every block across K Monte-Carlo lanes through Block::process_batch();
+// run() is its K=1 case. The topological schedule and the port-routing
 // table are computed once and cached (invalidated by add()/connect()), and
-// every block's output buffer is recycled through a WaveformArena, so
-// repeated run() calls pay zero graph overhead and no steady-state heap
-// allocation. EFFICSENSE_SIM_HOT=0 (or set_fast_path(false)) restores the
-// legacy rebuild-every-run behaviour for A/B benchmarking.
+// every output bank is recycled through a WaveformArena, so repeated runs
+// pay zero graph overhead and no steady-state sample-buffer allocation.
 
 #include <cstddef>
 #include <map>
@@ -25,7 +25,7 @@ namespace efficsense::sim {
 
 using BlockId = std::size_t;
 
-/// Per-block execution accounting accumulated across run() calls: how many
+/// Per-block execution accounting accumulated across runs: how many
 /// times each block ran, how many samples it emitted and how much wall time
 /// it took. The runtime twin of PowerReport — where the *simulation* cost
 /// goes, next to where the modeled energy goes.
@@ -36,8 +36,8 @@ struct RunStats {
     std::uint64_t samples_out = 0;
     double seconds = 0.0;
   };
-  std::uint64_t runs = 0;       ///< completed Model::run() calls
-  double total_seconds = 0.0;   ///< wall time inside run()
+  std::uint64_t runs = 0;       ///< completed run()/run_batch() calls
+  double total_seconds = 0.0;   ///< wall time inside them
   std::vector<BlockStats> blocks;  ///< in block-id order
 
   /// Aligned per-block table with time shares (mirrors PowerReport::to_string).
@@ -90,25 +90,27 @@ class Model {
   /// Chain a sequence of single-port blocks in order.
   void chain(const std::vector<BlockId>& ids);
 
-  /// Execute the model. Every input port must be driven; returns the
-  /// waveforms of all unconnected output ports in (block-id, port) order.
+  /// Execute the model once: the K=1 case of run_batch(). Every input port
+  /// must be driven; returns the waveforms of all unconnected output ports
+  /// in (block-id, port) order.
   std::vector<Waveform> run();
 
   /// Execute the model across `lanes` Monte-Carlo lanes in lockstep: the
   /// cached StepPlan is walked once and each block advances all lanes via
   /// process_batch() (structure-of-arrays LaneBanks, recycled through the
-  /// arena like run()'s waveforms). Returns pointers to the unconnected
-  /// output ports' banks in (block-id, port) order; they stay valid until
-  /// the next run()/run_batch()/reset(). Lane k of every bank is
-  /// bit-identical to what run() would produce for the scalar instance the
-  /// lane was seeded as (see Block::process_batch for the contract).
+  /// arena). Returns pointers to the unconnected output ports' banks in
+  /// (block-id, port) order; they stay valid until the next
+  /// run()/run_batch()/reset(). Lane k of every bank is bit-identical to
+  /// what run() would produce for the instance the lane was seeded as (see
+  /// Block::process_batch for the contract).
   std::vector<const LaneBank*> run_batch(std::size_t lanes);
 
-  /// Waveform observed on a specific output port during the last run()
+  /// Lane 0 of a specific output port during the last run() or run_batch()
   /// (tap / scope support, also for connected ports).
-  const Waveform& probe(const std::string& block_name, std::size_t port = 0) const;
+  Waveform probe(const std::string& block_name, std::size_t port = 0) const;
 
-  /// Bank observed on a specific output port during the last run_batch().
+  /// Bank observed on a specific output port during the last run() or
+  /// run_batch() (one lane after run()).
   const LaneBank& probe_batch(const std::string& block_name,
                               std::size_t port = 0) const;
 
@@ -119,17 +121,10 @@ class Model {
   PowerReport power_report() const;
   AreaReport area_report() const;
 
-  /// Execution accounting accumulated over every run() since construction
-  /// (or the last reset_run_stats()).
+  /// Execution accounting accumulated over every run() and run_batch()
+  /// since construction (or the last reset_run_stats()).
   const RunStats& run_stats() const { return run_stats_; }
   void reset_run_stats();
-
-  /// Toggle the cached-schedule + arena hot path (default: on, or the
-  /// EFFICSENSE_SIM_HOT env var). Off re-plans the graph and reallocates
-  /// every buffer on each run — the pre-optimization cost profile, kept
-  /// for A/B benchmarking.
-  void set_fast_path(bool enabled) { fast_path_ = enabled; }
-  bool fast_path() const { return fast_path_; }
 
   /// The arena backing this model's waveform buffers (introspection).
   const WaveformArena& arena() const { return arena_; }
@@ -150,6 +145,9 @@ class Model {
 
   /// Rebuild the schedule/routing cache if wiring changed since last run.
   void ensure_plan();
+  /// Walk the plan once at `lanes` lanes; `batch` selects run_batch()'s
+  /// metric names over run()'s.
+  void execute(std::size_t lanes, bool batch);
 
   std::vector<BlockPtr> blocks_;
   std::map<std::string, BlockId> by_name_;
@@ -164,17 +162,10 @@ class Model {
   std::vector<std::size_t> model_output_slots_;  // unconnected outputs
   std::size_t num_slots_ = 0;
 
-  // Waveform storage, recycled run-to-run.
+  // Output banks by slot, recycled run-to-run through the arena.
   WaveformArena arena_;
-  std::vector<Waveform> slot_outputs_;       // by slot; previous run's values
-  std::vector<std::vector<Waveform>> input_scratch_;  // per plan step
-  std::size_t slots_written_ = 0;            // slots valid for probe()
-
-  // Lane-bank storage for run_batch(), recycled like slot_outputs_.
   std::vector<LaneBank> bank_slots_;
-  std::size_t bank_slots_written_ = 0;       // slots valid for probe_batch()
-
-  bool fast_path_ = true;
+  std::size_t bank_slots_written_ = 0;       // slots valid for probe()
 
   std::vector<BlockId> topological_order() const;
 };

@@ -7,7 +7,7 @@
 #include <set>
 #include <sstream>
 
-#include "core/chain.hpp"
+#include "arch/chain.hpp"
 #include "core/design_space.hpp"
 #include "core/pareto.hpp"
 #include "core/sweep.hpp"
@@ -17,6 +17,7 @@
 
 using namespace efficsense;
 using namespace efficsense::core;
+using namespace efficsense::arch;
 
 TEST(DesignSpace, CartesianEnumeration) {
   DesignSpace space;
@@ -291,7 +292,7 @@ TEST(MonteCarloStats, HandComputed) {
 // noise seeds but share the sensing matrix, so they must share one cached
 // reconstructor (and thus one Gram build).
 
-#include "core/recon_cache.hpp"
+#include "arch/recon_cache.hpp"
 
 TEST(ReconstructorCache, SharedAcrossMismatchAndNoiseSeeds) {
   auto& cache = ReconstructorCache::instance();

@@ -7,10 +7,10 @@
 #include <cmath>
 #include <numbers>
 
+#include "arch/chain.hpp"
 #include "blocks/cs_encoder_active.hpp"
 #include "blocks/transmitter.hpp"
 #include "blocks/cs_encoder_digital.hpp"
-#include "core/chain.hpp"
 #include "core/design_space.hpp"
 #include "cs/effective.hpp"
 #include "dsp/metrics.hpp"
@@ -198,21 +198,21 @@ TEST(Chains, StyleDispatchAndStructure) {
   for (auto style : {CsStyle::PassiveCharge, CsStyle::ActiveIntegrator,
                      CsStyle::DigitalMac}) {
     const auto d = cs_design(style);
-    const auto chain = core::build_chain(tech, d, {});
-    EXPECT_TRUE(chain->has_block(core::kCsEncoderBlock));
+    const auto chain = arch::build_chain(tech, d, {});
+    EXPECT_TRUE(chain->has_block(arch::kCsEncoderBlock));
     // Only the digital style keeps the classical S&H front half.
-    EXPECT_EQ(chain->has_block(core::kSampleHoldBlock),
+    EXPECT_EQ(chain->has_block(arch::kSampleHoldBlock),
               style == CsStyle::DigitalMac);
   }
   // Style-specific builders reject mismatched designs.
   EXPECT_THROW(
-      core::build_active_cs_chain(tech, cs_design(CsStyle::PassiveCharge), {}),
+      arch::build_active_cs_chain(tech, cs_design(CsStyle::PassiveCharge), {}),
       Error);
   EXPECT_THROW(
-      core::build_digital_cs_chain(tech, cs_design(CsStyle::ActiveIntegrator), {}),
+      arch::build_digital_cs_chain(tech, cs_design(CsStyle::ActiveIntegrator), {}),
       Error);
   EXPECT_THROW(
-      core::build_cs_chain(tech, cs_design(CsStyle::DigitalMac), {}), Error);
+      arch::build_cs_chain(tech, cs_design(CsStyle::DigitalMac), {}), Error);
 }
 
 TEST(Chains, EndToEndReconstructionAllStyles) {
@@ -232,11 +232,11 @@ TEST(Chains, EndToEndReconstructionAllStyles) {
     auto d = cs_design(style);
     d.lna_noise_vrms = 2e-6;
     d.cs_c_hold_f = 1e-12;
-    auto chain = core::build_chain(tech, d, {});
+    auto chain = arch::build_chain(tech, d, {});
     cs::ReconstructorConfig rc;
     rc.residual_tol = 0.01;
-    const auto recon = core::make_matched_reconstructor(d, {}, rc);
-    const auto out = core::run_chain(*chain, input);
+    const auto recon = arch::make_matched_reconstructor(d, {}, rc);
+    const auto out = arch::run_chain(*chain, input);
     const auto rec = recon.reconstruct_stream(out.samples);
     ASSERT_FALSE(rec.empty());
     const auto times = dsp::uniform_times(rec.size(), d.f_sample_hz());

@@ -14,6 +14,7 @@
 
 using namespace efficsense;
 using namespace efficsense::core;
+using namespace efficsense::arch;
 
 namespace {
 

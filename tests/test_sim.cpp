@@ -560,3 +560,102 @@ TEST(Model, RunBatchMatchesScalarRunForLaneInvariantChains) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// One executor: run() is the K=1 case of run_batch(), and a block overrides
+// exactly one of process() / process_batch().
+
+#include "blocks/basic.hpp"
+
+namespace {
+
+/// Doubles its input; overrides only the lane kernel.
+class LaneDoubler final : public sim::Block {
+ public:
+  explicit LaneDoubler(std::string name) : Block(std::move(name), 1, 1) {}
+  void process_batch(std::size_t lanes,
+                     const std::vector<const sim::LaneBank*>& inputs,
+                     std::vector<sim::LaneBank>& outputs,
+                     sim::WaveformArena& arena) override {
+    const sim::LaneBank& x = *inputs.at(0);
+    auto out = sim::LaneBank::acquire(arena, x.fs(), lanes, x.samples(),
+                                      x.uniform());
+    for (std::size_t k = 0; k < out.rows(); ++k) {
+      for (std::size_t i = 0; i < x.samples(); ++i) {
+        out.lane(k)[i] = 2.0 * x.lane(k)[i];
+      }
+    }
+    ++calls_;
+    outputs.push_back(std::move(out));
+  }
+  int calls() const { return calls_; }
+
+ private:
+  int calls_ = 0;
+};
+
+/// Overrides neither kernel: an authoring error.
+class NoKernel final : public sim::Block {
+ public:
+  explicit NoKernel(std::string name) : Block(std::move(name), 1, 1) {}
+};
+
+std::unique_ptr<sim::Model> noise_model() {
+  auto m = std::make_unique<sim::Model>();
+  const auto src = m->add(std::make_unique<TestSource>("src", ramp(64)));
+  const auto noise = m->add(
+      std::make_unique<efficsense::blocks::NoiseAdderBlock>("noise", 0.5, 7));
+  m->connect(src, 0, noise, 0);
+  return m;
+}
+
+std::vector<double> lane_samples(const sim::LaneBank& bank, std::size_t k) {
+  return {bank.lane(k), bank.lane(k) + bank.samples()};
+}
+
+}  // namespace
+
+TEST(Block, LaneKernelOnlyBlockRunsThroughProcessAndModelRun) {
+  LaneDoubler direct("d");
+  const auto out = direct.process({ramp(5)});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_DOUBLE_EQ(out[0].fs, 100.0);
+  EXPECT_EQ(out[0].samples, (std::vector<double>{0, 2, 4, 6, 8}));
+
+  sim::Model m;
+  const auto src = m.add(std::make_unique<TestSource>("src", ramp(4)));
+  auto& doubler = m.emplace<LaneDoubler>("d");
+  m.connect(src, 0, m.id_of("d"), 0);
+  const auto run = m.run();
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_EQ(run[0].samples, (std::vector<double>{0, 2, 4, 6}));
+  EXPECT_EQ(doubler.calls(), 1);
+}
+
+TEST(Block, OverridingNeitherKernelThrows) {
+  NoKernel none("none");
+  EXPECT_THROW(none.process({ramp(3)}), Error);
+}
+
+TEST(Model, ProbeReadsTheLastRunOfEitherKind) {
+  {
+    // run() then run_batch(2): probe() is lane 0 of the batch, whose noise
+    // stream has advanced past the first run's.
+    auto m = noise_model();
+    m->run();
+    const auto first = m->probe("noise").samples;
+    m->run_batch(2);
+    const auto batch_lane0 = lane_samples(m->probe_batch("noise"), 0);
+    EXPECT_EQ(m->probe("noise").samples, batch_lane0);
+    EXPECT_NE(m->probe("noise").samples, first);
+  }
+  {
+    // run_batch(2) then run(): probe_batch() is the one-lane run.
+    auto m = noise_model();
+    m->run_batch(2);
+    const auto out = m->run();
+    const auto& bank = m->probe_batch("noise");
+    EXPECT_EQ(bank.lanes(), 1u);
+    EXPECT_EQ(lane_samples(bank, 0), out.at(0).samples);
+  }
+}

@@ -1,5 +1,5 @@
 // The pluggable sparse-solver registry: dispatch, codes, error contracts,
-// the deprecated ReconAlgorithm shim, BSBL/AMP accuracy versus a naive
+// the default solver id, BSBL/AMP accuracy versus a naive
 // oracle, seed-pinned IHT/ISTA recovery, the solver-keyed reconstructor
 // cache, solver-sensitive config digests, and the scalar solve_multi
 // fallback's bit-identity on the lane path.
@@ -111,7 +111,7 @@ linalg::Vector bandlimited_frame(std::size_t n, std::uint64_t seed) {
 
 TEST(SolverRegistry, BuiltinsAreRegisteredWithStableCodes) {
   auto& reg = cs::SolverRegistry::instance();
-  // Codes follow registration order; 0..2 coincide with ReconAlgorithm.
+  // Codes follow registration order.
   const std::vector<std::pair<std::string, int>> expected = {
       {"omp", 0},      {"iht", 1},  {"ista", 2},
       {"bsbl", 3},     {"amp", 4},  {"compressed_domain", 5}};
@@ -179,21 +179,6 @@ TEST(SolverRegistry, DuplicateIdIsRejectedAndNewIdsGetFreshCodes) {
   EXPECT_TRUE(reg.contains("zz_test_dummy"));
   EXPECT_EQ(reg.code_of("zz_test_dummy"), 6);
   EXPECT_EQ(reg.id_of_code(6), "zz_test_dummy");
-}
-
-// --- Deprecated ReconAlgorithm compat shim ---------------------------------
-
-TEST(SolverRegistry, ReconAlgorithmShimMapsOntoRegistryIds) {
-  EXPECT_EQ(cs::recon_algorithm_id(cs::ReconAlgorithm::Omp), "omp");
-  EXPECT_EQ(cs::recon_algorithm_id(cs::ReconAlgorithm::Iht), "iht");
-  EXPECT_EQ(cs::recon_algorithm_id(cs::ReconAlgorithm::Ista), "ista");
-
-  cs::ReconstructorConfig cfg;
-  EXPECT_EQ(cfg.solver_id(), "omp");  // default algorithm = Omp
-  cfg.algorithm = cs::ReconAlgorithm::Ista;
-  EXPECT_EQ(cfg.solver_id(), "ista");
-  cfg.solver = "bsbl";  // explicit registry id wins over the enum
-  EXPECT_EQ(cfg.solver_id(), "bsbl");
 }
 
 TEST(SolverRegistry, CompressedDomainNeverPreparesADictionary) {
