@@ -300,76 +300,79 @@ int main() {
                "becomes yield loss.\n";
 
   // -------------------------------------------------------------------
-  // Lane scaling: the K-lane SoA batch engine vs the scalar path, on both
-  // headline designs. Both runs use identical per-instance seeds; the FNV-1a
-  // digest over the raw metric bits proves every lane is bit-identical to
-  // its scalar instance, so the speedup is free of accuracy caveats. The
-  // gated headline number is the baseline optimum: its cost is the block
-  // chain + detector, exactly what the lane engine batches. The CS optimum
-  // is reported alongside — its Monte-Carlo time is dominated by the
-  // per-lane OMP decode, which Amdahl-caps the lane win (DESIGN.md §12).
+  // Lane scaling, as a threads x lanes matrix: each headline design runs
+  // the same Monte-Carlo instances at threads {1, default pool} x K {1,
+  // lane_width}. All four cells use identical per-instance seeds; the FNV-1a
+  // digest over the raw metric bits proves every cell bit-identical to the
+  // single-threaded scalar oracle, so the speedups are free of accuracy
+  // caveats. The gated ratio is K=lane_width vs K=1 at the same thread
+  // count, on the chain-bound baseline optimum: its cost is the block chain
+  // + detector, exactly what the lane engine batches. The CS optimum is
+  // reported alongside — its Monte-Carlo time is dominated by the per-lane
+  // OMP decode, which Amdahl-caps the lane win (DESIGN.md §12).
   const auto lane_width = static_cast<std::size_t>(
       std::max<long long>(2, env_int("EFFICSENSE_LANES", 8)));
   // Full lane groups regardless of the (possibly tiny, in CI smoke) MC run
   // count: a partial tail group would clamp the effective batch width.
   const std::size_t lane_runs =
       lane_width * std::max<std::size_t>(1, runs / lane_width);
+  const std::size_t pool_threads = pool ? pool->size() : 1;
+  const std::size_t thread_counts[2] = {1, pool_threads};
   struct LaneScaling {
     const char* name;
-    double k1_per_s = 0.0;
-    double kn_per_s = 0.0;
-    double speedup = 0.0;
-    bool bit_identical = false;
+    /// points/s by [thread row: 1, default pool][K: 1, lane_width].
+    double per_s[2][2] = {};
+    bool bit_identical = true;
+    double speedup(std::size_t row) const {
+      return per_s[row][0] > 0.0 ? per_s[row][1] / per_s[row][0] : 0.0;
+    }
   };
   std::vector<LaneScaling> lane_rows;
   bool lanes_bit_identical = true;
   MonteCarloOptions lane_mc = mc;
   lane_mc.instances = lane_runs;
-  std::cout << "\nlane scaling (" << lane_runs << " instances, K="
-            << lane_width << "):\n";
+  std::cout << "\nlane scaling (" << lane_runs << " instances, threads {1, "
+            << pool_threads << "} x K {1, " << lane_width << "}):\n";
   for (std::size_t ci : {std::size_t{0}, std::size_t{1}}) {
-    lane_mc.lanes = 1;
-    const auto t_k1 = std::chrono::steady_clock::now();
-    const auto r_k1 = monte_carlo(evaluator, candidates[ci].design, lane_mc);
-    const double k1_s = seconds_since(t_k1);
-    lane_mc.lanes = lane_width;
-    const auto t_kn = std::chrono::steady_clock::now();
-    const auto r_kn = monte_carlo(evaluator, candidates[ci].design, lane_mc);
-    const double kn_s = seconds_since(t_kn);
-
-    const std::uint64_t digest_k1 = mc_metrics_digest(r_k1);
-    const std::uint64_t digest_kn = mc_metrics_digest(r_kn);
     LaneScaling row;
     row.name = candidates[ci].name;
-    row.bit_identical = digest_k1 == digest_kn;
-    row.k1_per_s =
-        k1_s > 0.0 ? static_cast<double>(lane_runs) / k1_s : 0.0;
-    row.kn_per_s =
-        kn_s > 0.0 ? static_cast<double>(lane_runs) / kn_s : 0.0;
-    row.speedup = k1_s > 0.0 && kn_s > 0.0 ? k1_s / kn_s : 0.0;
-    lane_rows.push_back(row);
-    std::cout << "  " << row.name << ":\n"
-              << "    K=1 scalar path:  " << format_number(k1_s) << " s  ("
-              << format_number(row.k1_per_s) << " points/s)\n"
-              << "    K=" << lane_width << " batched:     "
-              << format_number(kn_s) << " s  ("
-              << format_number(row.kn_per_s) << " points/s, "
-              << format_number(row.speedup) << "x)\n"
-              << "    lanes vs scalar oracle: "
-              << (row.bit_identical ? "bit-identical" : "DIVERGED") << "\n";
-    if (!row.bit_identical) {
-      lanes_bit_identical = false;
-      std::cerr << "bench_montecarlo: batched lanes diverged from the scalar "
-                   "oracle (digest "
-                << std::hex << digest_kn << " vs " << digest_k1 << std::dec
-                << ") on " << row.name << "\n";
+    std::cout << "  " << row.name << ":\n";
+    std::uint64_t oracle = 0;
+    for (std::size_t t = 0; t < 2; ++t) {
+      lane_mc.threads = thread_counts[t];
+      for (std::size_t k = 0; k < 2; ++k) {
+        lane_mc.lanes = k == 0 ? 1 : lane_width;
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto r = monte_carlo(evaluator, candidates[ci].design, lane_mc);
+        const double secs = seconds_since(t0);
+        row.per_s[t][k] =
+            secs > 0.0 ? static_cast<double>(lane_runs) / secs : 0.0;
+        const std::uint64_t digest = mc_metrics_digest(r);
+        if (t == 0 && k == 0) oracle = digest;
+        if (digest != oracle) {
+          row.bit_identical = false;
+          std::cerr << "bench_montecarlo: threads=" << lane_mc.threads
+                    << " K=" << lane_mc.lanes
+                    << " diverged from the scalar oracle (digest " << std::hex
+                    << digest << " vs " << oracle << std::dec << ") on "
+                    << row.name << "\n";
+        }
+      }
+      std::cout << "    threads=" << thread_counts[t] << ": K=1 "
+                << format_number(row.per_s[t][0]) << " points/s, K="
+                << lane_width << " " << format_number(row.per_s[t][1])
+                << " points/s (" << format_number(row.speedup(t)) << "x)\n";
     }
+    std::cout << "    every cell vs the scalar oracle: "
+              << (row.bit_identical ? "bit-identical" : "DIVERGED") << "\n";
+    lanes_bit_identical = lanes_bit_identical && row.bit_identical;
+    lane_rows.push_back(row);
   }
   if (!lanes_bit_identical) return 1;
   // The gated number rides on the chain-bound baseline candidate.
   const LaneScaling& gated = lane_rows[0];
   obs_run.add_field("lane_speedup_k" + std::to_string(lane_width),
-                    gated.speedup);
+                    gated.speedup(1));
 
   // -------------------------------------------------------------------
   // Gateway decode-time split across registered solvers: the same
@@ -455,22 +458,35 @@ int main() {
           << ", \"yield\": " << timings[i].yield << "}"
           << (i + 1 < timings.size() ? "," : "") << "\n";
     }
+    // The top-level keys are the default-pool row of the baseline
+    // optimum (the CI gate and bench/baselines.json read them);
+    // speedup_threads1 is the same ratio on one thread.
     out << "  ],\n  \"lane_scaling\": {\n"
         << "    \"lanes\": " << lane_width << ",\n"
         << "    \"instances\": " << lane_runs << ",\n"
-        << "    \"points_per_s_k1\": " << gated.k1_per_s << ",\n"
-        << "    \"points_per_s_batched\": " << gated.kn_per_s << ",\n"
-        << "    \"speedup\": " << gated.speedup << ",\n"
+        << "    \"threads\": " << pool_threads << ",\n"
+        << "    \"points_per_s_k1\": " << gated.per_s[1][0] << ",\n"
+        << "    \"points_per_s_batched\": " << gated.per_s[1][1] << ",\n"
+        << "    \"speedup\": " << gated.speedup(1) << ",\n"
+        << "    \"speedup_threads1\": " << gated.speedup(0) << ",\n"
         << "    \"lanes_bit_identical\": "
         << (lanes_bit_identical ? "true" : "false") << ",\n"
         << "    \"candidates\": [\n";
     for (std::size_t i = 0; i < lane_rows.size(); ++i) {
       const auto& r = lane_rows[i];
       out << "      {\"name\": \"" << obs::json_escape(r.name)
-          << "\", \"points_per_s_k1\": " << r.k1_per_s
-          << ", \"points_per_s_batched\": " << r.kn_per_s
-          << ", \"speedup\": " << r.speedup << "}"
-          << (i + 1 < lane_rows.size() ? "," : "") << "\n";
+          << "\", \"speedup\": " << r.speedup(1)
+          << ", \"speedup_threads1\": " << r.speedup(0)
+          << ", \"matrix\": [";
+      for (std::size_t t = 0; t < 2; ++t) {
+        for (std::size_t k = 0; k < 2; ++k) {
+          out << (t + k > 0 ? ", " : "") << "{\"threads\": "
+              << thread_counts[t]
+              << ", \"lanes\": " << (k == 0 ? 1 : lane_width)
+              << ", \"points_per_s\": " << r.per_s[t][k] << "}";
+        }
+      }
+      out << "]}" << (i + 1 < lane_rows.size() ? "," : "") << "\n";
     }
     out << "    ]\n  },\n"
         << "  \"decode_split\": {\n"
@@ -483,7 +499,8 @@ int main() {
         << "  \"duration_s\": " << duration_s
         << ",\n  \"points_per_s\": "
         << (duration_s > 0.0 ? static_cast<double>(runs) / duration_s : 0.0)
-        << ",\n  \"omp\": " << bench::omp_instruments_json() << "\n}\n";
+        << ",\n  \"omp\": " << bench::omp_instruments_json()
+        << ",\n  \"host\": " << bench::host_json() << "\n}\n";
     std::cout << "[writing BENCH_sweep.json]\n";
   }
   return 0;

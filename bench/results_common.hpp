@@ -10,6 +10,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "obs/obs.hpp"
 
@@ -61,6 +62,38 @@ inline std::string omp_instruments_json() {
      << ", \"block_run_us_p50\": " << pct_us(block, 0.50)
      << ", \"block_run_us_p90\": " << pct_us(block, 0.90)
      << ", \"block_run_us_p99\": " << pct_us(block, 0.99) << "}";
+  return os.str();
+}
+
+#ifndef EFFICSENSE_BUILD_TYPE
+#define EFFICSENSE_BUILD_TYPE "unknown"
+#endif
+
+/// JSON object fingerprinting the host a BENCH_*.json file was measured on:
+/// CPU model, logical CPUs, compiler and build type. Absolute rates are
+/// only comparable between files whose fingerprints match.
+inline std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::ostringstream os;
+  os << "{\"cpu_model\": \"" << obs::json_escape(cpu)
+     << "\", \"nproc\": " << std::thread::hardware_concurrency()
+     << ", \"compiler\": \"" << obs::json_escape(compiler)
+     << "\", \"build_type\": \"" << EFFICSENSE_BUILD_TYPE << "\"}";
   return os.str();
 }
 

@@ -71,7 +71,7 @@ void NoiseAdderBlock::process_batch(
     const double* xr = x.lane(k);
     double* o = bank.lane(k);
     if (sigma_ > 0.0) {
-      Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_));
+      Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_index()));
       rng.fill_gaussian(noise.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         o[i] = xr[i] + sigma_ * noise[i];
@@ -80,12 +80,9 @@ void NoiseAdderBlock::process_batch(
       std::copy(xr, xr + n, o);
     }
   }
-  ++run_;
   arena.release(std::move(noise));
   outputs.push_back(std::move(bank));
 }
-
-void NoiseAdderBlock::reset() { run_ = 0; }
 
 CubicNonlinearityBlock::CubicNonlinearityBlock(std::string name, double k3)
     : sim::Block(std::move(name), 1, 1), k3_(k3) {

@@ -43,7 +43,6 @@ class NoiseAdderBlock final : public sim::Block {
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,
                      sim::WaveformArena& arena) override;
-  void reset() override;
 
   /// Per-lane noise seeds for batched runs; empty (default) = all lanes
   /// share the constructor seed's stream.
@@ -55,7 +54,6 @@ class NoiseAdderBlock final : public sim::Block {
   double sigma_;
   std::uint64_t seed_;
   std::vector<std::uint64_t> lane_noise_seeds_;
-  std::uint64_t run_ = 0;
 };
 
 /// Static memoryless third-order nonlinearity y = x - k3 * x^3 (odd-order

@@ -120,7 +120,7 @@ void CsEncoderBlock::process_batch(
   const std::size_t n_draws = frames * draws_per_frame;
   std::vector<double> zbuf = arena.acquire(n_draws);
   if (shared_noise && n_draws > 0) {
-    Rng rng(derive_seed(noise_seed_, run_));
+    Rng rng(derive_seed(noise_seed_, run_index()));
     rng.fill_gaussian(zbuf.data(), n_draws);
   }
 
@@ -140,7 +140,7 @@ void CsEncoderBlock::process_batch(
 
   for (std::size_t k = 0; k < bank.rows(); ++k) {
     if (!shared_noise && n_draws > 0) {
-      Rng rng(derive_seed(lane_noise_seeds_[k], run_));
+      Rng rng(derive_seed(lane_noise_seeds_[k], run_index()));
       rng.fill_gaussian(zbuf.data(), n_draws);
     }
     const std::vector<double>& c_hold =
@@ -204,13 +204,10 @@ void CsEncoderBlock::process_batch(
       }
     }
   }
-  ++run_;
   arena.release(std::move(zbuf));
   sampled_bank.release_to(arena);
   outputs.push_back(std::move(bank));
 }
-
-void CsEncoderBlock::reset() { run_ = 0; }
 
 double CsEncoderBlock::power_watts() const {
   return power::cs_encoder_power(tech_, design_);

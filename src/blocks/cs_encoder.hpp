@@ -48,7 +48,6 @@ class CsEncoderBlock final : public sim::Block {
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,
                      sim::WaveformArena& arena) override;
-  void reset() override;
 
   double power_watts() const override;
   double area_unit_caps() const override;
@@ -76,7 +75,6 @@ class CsEncoderBlock final : public sim::Block {
   cs::SparseBinaryMatrix phi_;
   CsEncoderOptions options_;
   std::uint64_t noise_seed_;
-  std::uint64_t run_ = 0;
   std::vector<double> c_hold_f_;    // actual hold caps (with mismatch) [F]
   std::vector<double> c_sample_f_;  // actual sampling caps [F]
   std::vector<std::vector<double>> lane_c_hold_f_;    // per-lane instances

@@ -1,9 +1,11 @@
 #include "blocks/cs_encoder_active.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "dsp/resample.hpp"
 #include "power/models.hpp"
+#include "sim/arena.hpp"
 #include "util/constants.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -56,56 +58,61 @@ cs::ChargeSharingGains ActiveCsEncoderBlock::nominal_gains() const {
   return g;
 }
 
-std::vector<sim::Waveform> ActiveCsEncoderBlock::process(
-    const std::vector<sim::Waveform>& in) {
-  const sim::Waveform& x = in.at(0);
+void ActiveCsEncoderBlock::process_batch(
+    std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
+    std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
+  const sim::LaneBank& x = *inputs.at(0);
   EFF_REQUIRE(!x.empty(), "CS encoder input is empty");
   const double f_sample = design_.f_sample_hz();
-  EFF_REQUIRE(x.fs >= f_sample, "CS encoder cannot sample above the input rate");
+  EFF_REQUIRE(x.fs() >= f_sample,
+              "CS encoder cannot sample above the input rate");
 
   const auto n_phi = static_cast<std::size_t>(design_.cs_n_phi);
   const auto m = static_cast<std::size_t>(design_.cs_m);
   const double kT = units::kBoltzmann * tech_.temperature_k;
 
+  const double duration_s = static_cast<double>(x.samples()) / x.fs();
   const auto n_samples =
-      static_cast<std::size_t>(std::floor(x.duration_s() * f_sample));
+      static_cast<std::size_t>(std::floor(duration_s * f_sample));
   const auto times = dsp::uniform_times(n_samples, f_sample);
-  const auto sampled = dsp::sample_at_times(x.samples, x.fs, times);
-
-  Rng rng(derive_seed(noise_seed_, run_));
-  ++run_;
+  std::vector<double> sampled = arena.acquire(n_samples);
 
   const std::size_t frames = n_samples / n_phi;
-  std::vector<double> measurements;
-  measurements.reserve(frames * m);
+  sim::LaneBank bank = sim::LaneBank::acquire(
+      arena, design_.tx_sample_rate_hz(), lanes, frames * m, x.uniform());
   std::vector<double> v_int(m);
 
-  for (std::size_t f = 0; f < frames; ++f) {
-    std::fill(v_int.begin(), v_int.end(), 0.0);
-    for (std::size_t j = 0; j < n_phi; ++j) {
-      const auto& support = phi_.column_support(j);
-      for (std::size_t si = 0; si < support.size(); ++si) {
-        const std::size_t row = support[si];
-        const double c_s = c_sample_f_[si % c_sample_f_.size()];
-        const double c_i = c_int_f_[row];
+  for (std::size_t k = 0; k < bank.rows(); ++k) {
+    dsp::sample_at_times(x.lane(k), x.samples(), x.fs(), times.data(),
+                         n_samples, sampled.data());
+    Rng rng(derive_seed(noise_seed_, run_index()));
+    double* out = bank.lane(k);
+    for (std::size_t f = 0; f < frames; ++f) {
+      std::fill(v_int.begin(), v_int.end(), 0.0);
+      for (std::size_t j = 0; j < n_phi; ++j) {
+        const auto& support = phi_.column_support(j);
+        for (std::size_t si = 0; si < support.size(); ++si) {
+          const std::size_t row = support[si];
+          const double c_s = c_sample_f_[si % c_sample_f_.size()];
+          const double c_i = c_int_f_[row];
 
-        double v_s = sampled[f * n_phi + j];
-        if (options_.enable_noise) {
-          v_s += rng.gaussian(0.0, std::sqrt(kT / c_s));   // sampling kT/C
-          v_s += rng.gaussian(0.0, options_.ota_noise_vrms);  // OTA noise
+          double v_s = sampled[f * n_phi + j];
+          if (options_.enable_noise) {
+            v_s += rng.gaussian(0.0, std::sqrt(kT / c_s));   // sampling kT/C
+            v_s += rng.gaussian(0.0, options_.ota_noise_vrms);  // OTA noise
+          }
+          // Exact charge transfer onto the integration cap (virtual
+          // ground): dV = (C_s / C_int) * v_s, no attenuation of the stored
+          // value.
+          v_int[row] += (c_s / c_i) * v_s;
         }
-        // Exact charge transfer onto the integration cap (virtual ground):
-        // dV = (C_s / C_int) * v_s, no attenuation of the stored value.
-        v_int[row] += (c_s / c_i) * v_s;
       }
+      std::copy(v_int.begin(), v_int.end(), out + f * m);
     }
-    for (std::size_t row = 0; row < m; ++row) measurements.push_back(v_int[row]);
   }
-
-  return {sim::Waveform(design_.tx_sample_rate_hz(), std::move(measurements))};
+  arena.release(std::move(sampled));
+  outputs.push_back(std::move(bank));
 }
-
-void ActiveCsEncoderBlock::reset() { run_ = 0; }
 
 double ActiveCsEncoderBlock::power_watts() const {
   return power::cs_encoder_power(tech_, design_);

@@ -32,8 +32,13 @@ class ActiveCsEncoderBlock final : public sim::Block {
                        std::uint64_t noise_seed,
                        ActiveCsEncoderOptions options = {});
 
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  void reset() override;
+  /// Every lane shares this instance's capacitors and noise stream: a
+  /// uniform input gives a uniform bank, a per-lane input replays the run's
+  /// stream on each row (as K instances with one seed would draw it).
+  void process_batch(std::size_t lanes,
+                     const std::vector<const sim::LaneBank*>& inputs,
+                     std::vector<sim::LaneBank>& outputs,
+                     sim::WaveformArena& arena) override;
 
   double power_watts() const override;
   double area_unit_caps() const override;
@@ -48,7 +53,6 @@ class ActiveCsEncoderBlock final : public sim::Block {
   cs::SparseBinaryMatrix phi_;
   ActiveCsEncoderOptions options_;
   std::uint64_t noise_seed_;
-  std::uint64_t run_ = 0;
   std::vector<double> c_int_f_;     // actual integration caps [F]
   std::vector<double> c_sample_f_;  // actual sampling caps [F]
 };

@@ -23,7 +23,10 @@ std::vector<sim::Waveform> DigitalFilterBlock::process(
   return {std::move(out)};
 }
 
-void DigitalFilterBlock::reset() { cascade_.reset(); }
+void DigitalFilterBlock::reset() {
+  Block::reset();
+  cascade_.reset();
+}
 
 double DigitalFilterBlock::power_watts() const {
   // alpha * gates * C_logic * Vdd^2 * f_sample with alpha = 0.4 (as for the

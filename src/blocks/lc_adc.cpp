@@ -93,6 +93,7 @@ std::vector<sim::Waveform> LcAdcBlock::process(
 }
 
 void LcAdcBlock::reset() {
+  Block::reset();
   events_ = 0;
   duration_s_ = 0.0;
 }

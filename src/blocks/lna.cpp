@@ -57,7 +57,7 @@ void LnaBlock::process_batch(std::size_t lanes,
   // Row k draws from lane k's stream at this run index: noise injection +
   // gain, bandwidth limit, compression + clip, staged over whole arrays.
   for (std::size_t k = 0; k < bank.rows(); ++k) {
-    Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_));
+    Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_index()));
     rng.fill_gaussian(noise.data(), n);
     const double* xr = x.lane(k);
     double* o = bank.lane(k);
@@ -74,12 +74,9 @@ void LnaBlock::process_batch(std::size_t lanes,
       o[i] = std::clamp(c, -clip_level_, clip_level_);
     }
   }
-  ++run_;
   arena.release(std::move(noise));
   outputs.push_back(std::move(bank));
 }
-
-void LnaBlock::reset() { run_ = 0; }
 
 double LnaBlock::power_watts() const { return power::lna_power(tech_, design_); }
 

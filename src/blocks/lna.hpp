@@ -24,7 +24,6 @@ class LnaBlock final : public sim::Block {
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,
                      sim::WaveformArena& arena) override;
-  void reset() override;
 
   double power_watts() const override;
   power::LnaLimit limiting_factor() const;
@@ -43,7 +42,6 @@ class LnaBlock final : public sim::Block {
   power::DesignParams design_;
   std::uint64_t seed_;
   std::vector<std::uint64_t> lane_noise_seeds_;
-  std::uint64_t run_ = 0;
   double k3_;          // output-referred cubic coefficient
   double clip_level_;  // output clips at +-clip_level_
 };

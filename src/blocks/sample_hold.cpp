@@ -58,7 +58,7 @@ void SampleHoldBlock::process_batch(
     for (std::size_t i = 0; i < n_out; ++i) {
       times[i] = static_cast<double>(i) / f_sample;
     }
-    Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_));
+    Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_index()));
     if (jitter_s_ > 0.0) {
       // Aperture jitter: each sampling instant wanders by a Gaussian offset.
       rng.fill_gaussian(noise.data(), n_out);
@@ -75,13 +75,10 @@ void SampleHoldBlock::process_batch(
       o[i] += sigma * noise[i];
     }
   }
-  ++run_;
   arena.release(std::move(noise));
   arena.release(std::move(times));
   outputs.push_back(std::move(bank));
 }
-
-void SampleHoldBlock::reset() { run_ = 0; }
 
 double SampleHoldBlock::power_watts() const {
   return power::sample_hold_power(tech_, design_);

@@ -21,7 +21,6 @@ class SampleHoldBlock final : public sim::Block {
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,
                      sim::WaveformArena& arena) override;
-  void reset() override;
 
   double power_watts() const override;
   double area_unit_caps() const override;
@@ -40,7 +39,6 @@ class SampleHoldBlock final : public sim::Block {
   power::DesignParams design_;
   std::uint64_t seed_;
   std::vector<std::uint64_t> lane_noise_seeds_;
-  std::uint64_t run_ = 0;
   double jitter_s_ = 0.0;
   double cap_f_;
 };

@@ -194,12 +194,12 @@ void SarAdcBlock::process_batch(
     // One shared comparator stream: K instances seeded identically would
     // each draw this exact sequence, so one bulk fill serves all rows (the
     // per-row draw pointer simply restarts at the front).
-    Rng rng(derive_seed(noise_seed_, run_));
+    Rng rng(derive_seed(noise_seed_, run_index()));
     rng.fill_gaussian(noise.data(), n_draws);
   }
   for (std::size_t k = 0; k < bank.rows(); ++k) {
     if (!shared_noise) {
-      Rng rng(derive_seed(lane_noise_seeds_[k], run_));
+      Rng rng(derive_seed(lane_noise_seeds_[k], run_index()));
       rng.fill_gaussian(noise.data(), n_draws);
     }
     // Successive approximation with the mismatched hardware weights;
@@ -209,12 +209,9 @@ void SarAdcBlock::process_batch(
     sar_quantize_lane(x.lane(k), bank.lane(k), noise.data(), w.data(), n,
                       n_samples, v_fs, sigma_cmp_norm, code_scale);
   }
-  ++run_;
   arena.release(std::move(noise));
   outputs.push_back(std::move(bank));
 }
-
-void SarAdcBlock::reset() { run_ = 0; }
 
 double SarAdcBlock::power_watts() const {
   double p = power::comparator_power(tech_, design_) +

@@ -26,7 +26,6 @@ class SarAdcBlock final : public sim::Block {
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,
                      sim::WaveformArena& arena) override;
-  void reset() override;
 
   double power_watts() const override;
   double area_unit_caps() const override;
@@ -53,7 +52,6 @@ class SarAdcBlock final : public sim::Block {
   power::TechnologyParams tech_;
   power::DesignParams design_;
   std::uint64_t noise_seed_;
-  std::uint64_t run_ = 0;
   bool include_sampling_network_;
   std::vector<double> weights_;  // normalized actual bit weights, MSB first
   std::vector<std::vector<double>> lane_weights_;  // per-lane instances

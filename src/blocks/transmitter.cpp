@@ -43,7 +43,6 @@ void TransmitterBlock::process_batch(
     sim::LaneBank bank = sim::LaneBank::acquire(arena, x.fs(), lanes,
                                                 x.samples(), x.uniform());
     std::copy(x.data().begin(), x.data().end(), bank.data().begin());
-    ++run_;
     outputs.push_back(std::move(bank));
     return;
   }
@@ -59,7 +58,7 @@ void TransmitterBlock::process_batch(
     // Each row replays the per-run stream: shared mode re-seeds the same
     // generator per row (identical flips across lanes, as K instances with
     // one seed would see); per-lane seeds draw independently.
-    Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_));
+    Rng rng(derive_seed(shared ? seed_ : lane_noise_seeds_[k], run_index()));
     const double* xr = x.lane(k);
     double* o = bank.lane(k);
     for (std::size_t i = 0; i < n; ++i) {
@@ -74,11 +73,8 @@ void TransmitterBlock::process_batch(
       o[i] = (static_cast<double>(code) + 0.5) / levels * v_fs - v_fs / 2.0;
     }
   }
-  ++run_;
   outputs.push_back(std::move(bank));
 }
-
-void TransmitterBlock::reset() { run_ = 0; }
 
 double TransmitterBlock::power_watts() const {
   return power::transmitter_power(tech_, design_);

@@ -20,7 +20,6 @@ class TransmitterBlock final : public sim::Block {
                      const std::vector<const sim::LaneBank*>& inputs,
                      std::vector<sim::LaneBank>& outputs,
                      sim::WaveformArena& arena) override;
-  void reset() override;
 
   double power_watts() const override;
 
@@ -40,7 +39,6 @@ class TransmitterBlock final : public sim::Block {
   power::DesignParams design_;
   std::uint64_t seed_;
   std::vector<std::uint64_t> lane_noise_seeds_;
-  std::uint64_t run_ = 0;
   double ber_;
   std::uint64_t bits_sent_ = 0;
 };

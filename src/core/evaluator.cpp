@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cmath>
-
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <mutex>
 
 #include "dsp/metrics.hpp"
 #include "dsp/resample.hpp"
@@ -11,6 +13,7 @@
 #include "obs/trace.hpp"
 #include "util/cache.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace efficsense::core {
 
@@ -217,6 +220,46 @@ EvalMetrics Evaluator::evaluate(const power::DesignParams& design) const {
   return metrics;
 }
 
+namespace {
+
+/// The batch chains of one lane group. A segment task takes an idle chain
+/// (or builds one when all are busy) and gives it back when its bank has
+/// been decoded, so at most one chain lives per executor running the
+/// group's segments.
+class ChainFreeList {
+ public:
+  using Build = std::function<std::unique_ptr<sim::Model>()>;
+  explicit ChainFreeList(Build build) : build_(std::move(build)) {}
+
+  /// An idle chain, or a freshly built one (nullptr when the architecture
+  /// has no batched model).
+  std::unique_ptr<sim::Model> take() {
+    {
+      std::lock_guard lock(mutex_);
+      if (!idle_.empty()) {
+        auto chain = std::move(idle_.back());
+        idle_.pop_back();
+        return chain;
+      }
+    }
+    auto chain = build_();
+    if (chain != nullptr) obs::counter("eval/batch_chain_builds").inc();
+    return chain;
+  }
+
+  void give_back(std::unique_ptr<sim::Model> chain) {
+    std::lock_guard lock(mutex_);
+    idle_.push_back(std::move(chain));
+  }
+
+ private:
+  Build build_;
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<sim::Model>> idle_;
+};
+
+}  // namespace
+
 std::vector<EvalMetrics> Evaluator::evaluate_lanes(
     const power::DesignParams& design,
     const std::vector<arch::ChainSeeds>& lane_seeds) const {
@@ -226,7 +269,9 @@ std::vector<EvalMetrics> Evaluator::evaluate_lanes(
       arch::ArchRegistry::instance().resolve(options_.architecture, design);
   // Live (signal-dependent) power must be sampled per scalar instance.
   if (architecture.signal_dependent_power()) return {};
-  auto chain = architecture.build_batch_model(tech_, design, lane_seeds);
+  ChainFreeList chains(
+      [&] { return architecture.build_batch_model(tech_, design, lane_seeds); });
+  auto chain = chains.take();
   if (chain == nullptr) return {};
 
   EFFICSENSE_SPAN("eval/batch_point");
@@ -257,21 +302,34 @@ std::vector<EvalMetrics> Evaluator::evaluate_lanes(
     limit = std::min(limit, options_.max_segments);
   }
 
+  // Segment i is fully determined by its run index (every noise block seeds
+  // run i from derive_seed(seed, i)), so segments fan out over the pool,
+  // each on a chain seeked to run i. The per-window decode fans out over the
+  // same (reentrant) pool, so a lone segment still uses every executor and
+  // idle executors in the last round help decode the windows still open.
+  chains.give_back(std::move(chain));
+
+  struct SegmentResult {
+    std::vector<double> snr_db;  ///< per lane
+    std::vector<classify::EpilepsyDetector::EpochScore> scores;
+  };
+  std::vector<SegmentResult> results(limit);
   const double f_sample = design.f_sample_hz();
   const double inv_gain = 1.0 / design.lna_gain;
-  std::vector<double> snr_sum(lanes, 0.0);
-  std::vector<std::size_t> correct(lanes, 0), scored(lanes, 0);
-  std::vector<const double*> rows(lanes);
-  std::vector<std::vector<double>> input_referred(lanes);
-  std::vector<const std::vector<double>*> lane_records(lanes);
 
-  for (std::size_t i = 0; i < limit; ++i) {
+  const auto run_segment = [&](std::size_t i) {
     const auto& segment = dataset_->segments[i];
-    const sim::LaneBank& received =
-        arch::run_chain_batch(*chain, segment.waveform, lanes);
-    for (std::size_t k = 0; k < lanes; ++k) rows[k] = received.lane(k);
-    const auto signals =
-        decoder->decode_lanes(rows, received.samples(), pool_);
+    std::vector<std::vector<double>> signals;
+    {
+      std::unique_ptr<sim::Model> lane_chain = chains.take();
+      lane_chain->seek_run(i);
+      const sim::LaneBank& received =
+          arch::run_chain_batch(*lane_chain, segment.waveform, lanes);
+      std::vector<const double*> rows(lanes);
+      for (std::size_t k = 0; k < lanes; ++k) rows[k] = received.lane(k);
+      signals = decoder->decode_lanes(rows, received.samples(), pool_);
+      chains.give_back(std::move(lane_chain));
+    }
 
     // Ground truth: shared across lanes — every lane decodes the same
     // number of samples from the same clean segment. Mapped into the
@@ -283,33 +341,42 @@ std::vector<EvalMetrics> Evaluator::evaluate_lanes(
     const auto reference = decoder->reference(dsp::sample_at_times(
         segment.waveform.samples, segment.waveform.fs, times));
 
+    SegmentResult& out = results[i];
+    out.snr_db.resize(lanes);
+    std::vector<const std::vector<double>*> lane_records(lanes);
     for (std::size_t k = 0; k < lanes; ++k) {
-      const std::vector<double>& signal = signals[k];
+      std::vector<double>& signal = signals[k];
       EFF_REQUIRE(signal.size() == signals.front().size(),
                   "lane-dependent decode length");
-      snr_sum[k] += dsp::snr_vs_reference_db(reference, signal);
-      input_referred[k].resize(signal.size());
-      for (std::size_t s = 0; s < signal.size(); ++s) {
-        input_referred[k][s] = signal[s] * inv_gain;
-      }
-      lane_records[k] = &input_referred[k];
+      out.snr_db[k] = dsp::snr_vs_reference_db(reference, signal);
+      for (double& v : signal) v *= inv_gain;  // input-referred
+      lane_records[k] = &signal;
     }
     // One lockstep scoring pass over the lane group: the Welch/FFT feature
     // schedule is shared, each lane's score matches score_epochs exactly.
-    const auto scores = detector_->score_epochs_lanes(
+    out.scores = detector_->score_epochs_lanes(
         lane_records, f_sample * decoder->rate_scale(), segment.ictal);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      correct[k] += scores[k].correct;
-      scored[k] += scores[k].scored;
-    }
+  };
+  if (pool_ != nullptr) {
+    pool_->parallel_for(limit, run_segment);
+  } else {
+    for (std::size_t i = 0; i < limit; ++i) run_segment(i);
   }
 
+  // Reduced in segment order, exactly as the scalar path accumulates.
   for (std::size_t k = 0; k < lanes; ++k) {
+    double snr_sum = 0.0;
+    std::size_t correct = 0, scored = 0;
+    for (const SegmentResult& r : results) {
+      snr_sum += r.snr_db[k];
+      correct += r.scores[k].correct;
+      scored += r.scores[k].scored;
+    }
     metrics[k].segments_evaluated = limit;
-    metrics[k].snr_db = snr_sum[k] / static_cast<double>(limit);
-    EFF_REQUIRE(scored[k] > 0, "no scorable epochs in the dataset");
+    metrics[k].snr_db = snr_sum / static_cast<double>(limit);
+    EFF_REQUIRE(scored > 0, "no scorable epochs in the dataset");
     metrics[k].accuracy =
-        static_cast<double>(correct[k]) / static_cast<double>(scored[k]);
+        static_cast<double>(correct) / static_cast<double>(scored);
   }
   obs::counter("eval/points").inc(lanes);
   obs::counter("eval/segments").inc(limit * lanes);

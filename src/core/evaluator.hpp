@@ -60,7 +60,10 @@ class Evaluator {
   /// the architecture's batched model (SoA Monte-Carlo engine): one
   /// run_batch per segment drives all lanes, decode runs as a multi-RHS
   /// solve per window, and out[k] is bit-identical to a scalar evaluate()
-  /// with seeds = lane_seeds[k]. All lanes must share the phi seed. Returns
+  /// with seeds = lane_seeds[k]. With a pool (set_pool) the segments fan
+  /// out, each on a batch chain seeked to its run index; the per-segment
+  /// results are reduced in segment order, so the output does not depend
+  /// on the pool. All lanes must share the phi seed. Returns
   /// an empty vector when the architecture has no batched path (or has
   /// signal-dependent power) — callers then fall back to per-instance
   /// scalar evaluation, so every registered architecture runs at any lane
@@ -95,8 +98,10 @@ class Evaluator {
   std::uint64_t config_digest() const;
   /// Replace the chain seeds (Monte-Carlo fabrication sweeps).
   void set_seeds(const arch::ChainSeeds& seeds) { options_.seeds = seeds; }
-  /// Optional pool for fanning per-window reconstructions out (non-owning).
-  /// Results are identical to the serial path.
+  /// Optional pool (non-owning). evaluate_lanes() fans its segments out
+  /// over it; both evaluate() and evaluate_lanes() fan each segment's
+  /// per-window reconstructions out over it too. Results are identical to
+  /// the serial path.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:

@@ -47,6 +47,7 @@ std::vector<Waveform> Block::process(const std::vector<Waveform>& inputs) {
   WaveformArena scratch;
   std::vector<LaneBank> outs;
   process_batch(1, in, outs, scratch);
+  ++run_;
   EFF_REQUIRE(outs.size() == num_outputs_,
               "block " + name_ + " produced wrong number of outputs");
   std::vector<Waveform> result;
@@ -80,8 +81,6 @@ void Block::process_batch(std::size_t lanes,
   std::vector<Waveform> scratch(inputs.size());
   if (all_uniform) {
     // Lane-invariant assumption: one scalar run, broadcast to every lane.
-    // Per-run RNG state (if any) advances exactly once, like one scalar
-    // instance — bit-exact whenever the lanes share the block's streams.
     for (std::size_t p = 0; p < inputs.size(); ++p) {
       scratch[p] = inputs[p]->lane_waveform(0);
     }
@@ -98,7 +97,7 @@ void Block::process_batch(std::size_t lanes,
     return;
   }
 
-  // Per-lane fallback. Only bit-exact for blocks without per-run RNG or
+  // Per-lane fallback. Only bit-exact for blocks without per-run noise or
   // per-lane fabrication state — stateful blocks override this method.
   const std::size_t base = outputs.size();
   for (std::size_t k = 0; k < lanes; ++k) {

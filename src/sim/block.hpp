@@ -6,6 +6,7 @@
 // component.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,9 +36,9 @@ class Block {
 
   /// Functional model, the scalar authoring API: consume one waveform per
   /// input port, produce one per output port. The default wraps the inputs
-  /// as one-lane banks, runs process_batch() at K=1 over a scratch arena
-  /// and returns lane 0 — so a block that only writes its lane kernel is
-  /// still callable one waveform at a time.
+  /// as one-lane banks, runs process_batch() at K=1 over a scratch arena,
+  /// advances run_index() and returns lane 0 — so a block that only writes
+  /// its lane kernel is still callable one waveform at a time.
   virtual std::vector<Waveform> process(const std::vector<Waveform>& inputs);
 
   /// The kernel Model::run() (K=1) and Model::run_batch() call: one call
@@ -49,22 +50,32 @@ class Block {
   /// Default contract, for blocks that only override process():
   ///  - all inputs uniform -> the block is assumed lane-invariant: process()
   ///    runs ONCE and the result is broadcast as a uniform bank. This is
-  ///    bit-exact for every block whose state is shared across lanes
-  ///    (deterministic blocks, and noise blocks when all lanes share one
-  ///    noise stream), and advances any per-run RNG state exactly once —
-  ///    just like one scalar instance would.
+  ///    bit-exact for every block whose state is shared across lanes.
   ///  - some input per-lane -> per-lane fallback: process() runs once per
   ///    lane. This keeps process()-only blocks running under the batched
-  ///    path, but re-runs per-run RNG streams K times; blocks that hold
-  ///    per-run noise state or per-lane fabrication state MUST override
-  ///    this method instead to stay bit-identical per lane.
+  ///    path; blocks that hold per-run noise streams or per-lane
+  ///    fabrication state MUST override this method instead to stay
+  ///    bit-identical per lane.
   virtual void process_batch(std::size_t lanes,
                              const std::vector<const LaneBank*>& inputs,
                              std::vector<LaneBank>& outputs,
                              WaveformArena& arena);
 
-  /// Clear internal state (filters, noise streams resume their sequence).
-  virtual void reset() {}
+  /// Clear internal state (filters) and restart the per-run noise streams
+  /// at run 0. Overrides must call Block::reset().
+  virtual void reset() { run_ = 0; }
+
+  /// Position the per-run noise streams: the next run draws exactly what
+  /// run `r` (0-based) of a freshly reset block draws. Model::run() and
+  /// Model::run_batch() seek every block to the model's run index before
+  /// running it; CompositeBlock forwards the seek to its inner model.
+  virtual void seek_run(std::uint64_t r) { run_ = r; }
+
+  /// Index of the run the next process()/process_batch() computes. Noise
+  /// blocks seed each run's stream from derive_seed(seed, run_index()), so
+  /// a run is fully determined by its index. process() advances it;
+  /// process_batch() reads it and leaves the advancing to its caller.
+  std::uint64_t run_index() const { return run_; }
 
   /// Analytic average power estimate [W] for the current configuration.
   /// Zero for ideal/mathematical blocks.
@@ -81,6 +92,7 @@ class Block {
   std::size_t num_inputs_;
   std::size_t num_outputs_;
   ParameterSet params_;
+  std::uint64_t run_ = 0;
   bool in_fallback_ = false;  // default process_batch() is calling process()
 };
 

@@ -29,7 +29,15 @@ std::vector<Waveform> CompositeBlock::process(
   return {std::move(outputs.front())};
 }
 
-void CompositeBlock::reset() { inner_->reset(); }
+void CompositeBlock::reset() {
+  Block::reset();
+  inner_->reset();
+}
+
+void CompositeBlock::seek_run(std::uint64_t r) {
+  Block::seek_run(r);
+  inner_->seek_run(r);
+}
 
 double CompositeBlock::power_watts() const {
   return inner_->power_report().total_watts();

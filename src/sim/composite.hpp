@@ -23,6 +23,8 @@ class CompositeBlock final : public Block {
 
   std::vector<Waveform> process(const std::vector<Waveform>& inputs) override;
   void reset() override;
+  /// Forwards to the inner model, so its noise blocks follow the outer run.
+  void seek_run(std::uint64_t r) override;
 
   double power_watts() const override;
   double area_unit_caps() const override;

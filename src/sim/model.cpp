@@ -218,6 +218,7 @@ void Model::execute(std::size_t lanes, bool batch) {
       inputs.push_back(&bank_slots_[slot]);
     }
     outputs.clear();
+    b.seek_run(run_);
     obs::Span span(span_prefix, b.name());
     const auto block_start = clock::now();
     b.process_batch(lanes, inputs, outputs, arena_);
@@ -238,6 +239,7 @@ void Model::execute(std::size_t lanes, bool batch) {
     }
   }
   bank_slots_written_ = num_slots_;
+  ++run_;
   run_stats_.runs += 1;
   run_stats_.total_seconds +=
       std::chrono::duration<double>(clock::now() - run_start).count();
@@ -260,6 +262,7 @@ Waveform Model::probe(const std::string& block_name, std::size_t port) const {
 }
 
 void Model::reset() {
+  run_ = 0;
   for (auto& b : blocks_) b->reset();
   for (auto& bank : bank_slots_) bank.release_to(arena_);
   bank_slots_written_ = 0;

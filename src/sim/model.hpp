@@ -11,6 +11,7 @@
 // pay zero graph overhead and no steady-state sample-buffer allocation.
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -114,8 +115,19 @@ class Model {
   const LaneBank& probe_batch(const std::string& block_name,
                               std::size_t port = 0) const;
 
-  /// Reset all block state (does not clear wiring or the cached schedule).
+  /// Reset all block state and rewind the run index to 0 (does not clear
+  /// wiring or the cached schedule).
   void reset();
+
+  /// Position the model at run `r`: the next run()/run_batch() is
+  /// bit-identical to the r-th (0-based) run of a freshly built or reset
+  /// model, because every noise block seeds each run from its run index and
+  /// no library block's output depends on an earlier run. Runs advance the
+  /// index by themselves, so sequential callers never seek; a pooled caller
+  /// seeks each chain to the segment it was handed.
+  void seek_run(std::uint64_t r) { run_ = r; }
+  /// Index of the next run (0 after construction or reset()).
+  std::uint64_t run_index() const { return run_; }
 
   /// Aggregate analytic power / area of all blocks.
   PowerReport power_report() const;
@@ -154,6 +166,7 @@ class Model {
   std::map<PortRef, PortRef> input_driver_;           // dst input -> src output
   std::map<PortRef, std::vector<PortRef>> fanout_;    // src output -> dst inputs
   RunStats run_stats_;
+  std::uint64_t run_ = 0;  // run index, seeked into every block per run
 
   // Cached execution plan; invalidated by add()/connect().
   bool plan_valid_ = false;

@@ -359,3 +359,145 @@ TEST(ReconstructorCache, KeyCoversPhiAndConfig) {
   EXPECT_NE(reconstructor_cache_key(design, a, cfg),
             reconstructor_cache_key(design2, a, cfg));
 }
+
+// ---------------------------------------------------------------------------
+// Threads x lanes: evaluate_lanes fans a lane group's segments out over the
+// evaluator's pool (each segment on a batch chain seeked to its run index,
+// results reduced in segment order), and monte_carlo nests that fan-out
+// under its lane-group fan-out. Neither may move a single bit.
+
+#include <bit>
+
+#include "classify/detector.hpp"
+#include "core/monte_carlo.hpp"
+#include "eeg/dataset.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
+
+namespace {
+
+struct PoolWorld {
+  power::TechnologyParams tech;
+  eeg::Dataset dataset;
+  classify::EpilepsyDetector detector;
+
+  PoolWorld()
+      : dataset(eeg::make_dataset(eeg::Generator{eeg::GeneratorConfig{}}, 2, 2,
+                                  11)),
+        detector(classify::EpilepsyDetector::train(
+            eeg::make_dataset(eeg::Generator{eeg::GeneratorConfig{}}, 8, 8,
+                              22),
+            [] {
+              classify::DetectorConfig cfg;
+              cfg.train.epochs = 20;
+              return cfg;
+            }())) {}
+};
+
+const PoolWorld& pool_world() {
+  static const PoolWorld w;
+  return w;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bitwise_equal(const EvalMetrics& a, const EvalMetrics& b,
+                          const std::string& where) {
+  EXPECT_EQ(bits(a.snr_db), bits(b.snr_db)) << where;
+  EXPECT_EQ(bits(a.accuracy), bits(b.accuracy)) << where;
+  EXPECT_EQ(bits(a.power_w), bits(b.power_w)) << where;
+  EXPECT_EQ(bits(a.area_unit_caps), bits(b.area_unit_caps)) << where;
+  EXPECT_EQ(a.segments_evaluated, b.segments_evaluated) << where;
+}
+
+power::DesignParams pooled_design(int cs_m, power::CsStyle style) {
+  power::DesignParams d;
+  d.cs_m = cs_m;
+  d.cs_style = style;
+  d.lna_noise_vrms = 6e-6;
+  return d;
+}
+
+}  // namespace
+
+TEST(PooledLanes, EvaluateLanesInvariantToPoolSize) {
+  const auto& w = pool_world();
+  std::vector<ChainSeeds> lane_seeds(3);
+  for (std::size_t k = 0; k < lane_seeds.size(); ++k) {
+    lane_seeds[k].mismatch = derive_seed(0xFAB, 2 * k);
+    lane_seeds[k].noise = derive_seed(0xFAB, 2 * k + 1);
+  }
+  const struct {
+    const char* id;
+    power::DesignParams design;
+  } cases[] = {
+      {"baseline", pooled_design(0, power::CsStyle::PassiveCharge)},
+      {"cs_passive", pooled_design(75, power::CsStyle::PassiveCharge)},
+      {"cs_digital", pooled_design(75, power::CsStyle::DigitalMac)},
+  };
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  auto& builds = obs::counter("eval/batch_chain_builds");
+  for (const auto& c : cases) {
+    for (const std::size_t max_segments :
+         {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
+      EvalOptions opts;
+      opts.max_segments = max_segments;
+      opts.architecture = c.id;
+      const Evaluator serial(w.tech, &w.dataset, &w.detector, opts);
+      const auto oracle = serial.evaluate_lanes(c.design, lane_seeds);
+      ASSERT_EQ(oracle.size(), lane_seeds.size()) << c.id;
+      for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+        Evaluator pooled = serial;
+        pooled.set_pool(pool);
+        const auto before = builds.value();
+        const auto got = pooled.evaluate_lanes(c.design, lane_seeds);
+        // The chain free-list holds at most one chain per executor: the
+        // pool's workers plus the calling thread.
+        EXPECT_LE(builds.value() - before, pool->size() + 1) << c.id;
+        ASSERT_EQ(got.size(), oracle.size());
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          expect_bitwise_equal(got[k], oracle[k],
+                               std::string(c.id) + " max_segments=" +
+                                   std::to_string(max_segments) + " pool=" +
+                                   std::to_string(pool->size()) + " lane " +
+                                   std::to_string(k));
+        }
+      }
+    }
+  }
+}
+
+TEST(PooledLanes, MonteCarloInvariantOverThreadsAndLanes) {
+  const auto& w = pool_world();
+  EvalOptions opts;
+  opts.max_segments = 3;
+  const Evaluator eval(w.tech, &w.dataset, &w.detector, opts);
+  const auto design = pooled_design(75, power::CsStyle::PassiveCharge);
+  MonteCarloOptions base;
+  base.instances = 5;  // partial trailing group at lanes 2 and 8
+  base.min_accuracy = 0.5;
+  base.vary_noise_streams = true;
+  base.threads = 1;
+  base.lanes = 1;
+  const auto oracle = monte_carlo(eval, design, base);
+  ASSERT_EQ(oracle.instances.size(), 5u);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (const std::size_t lanes :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      MonteCarloOptions mc = base;
+      mc.threads = threads;
+      mc.lanes = lanes;
+      const auto got = monte_carlo(eval, design, mc);
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " lanes=" + std::to_string(lanes);
+      ASSERT_EQ(got.instances.size(), oracle.instances.size()) << where;
+      for (std::size_t i = 0; i < got.instances.size(); ++i) {
+        expect_bitwise_equal(got.instances[i], oracle.instances[i],
+                             where + " instance " + std::to_string(i));
+      }
+      EXPECT_EQ(bits(got.yield), bits(oracle.yield)) << where;
+      EXPECT_EQ(bits(got.snr_db.mean), bits(oracle.snr_db.mean)) << where;
+    }
+  }
+}

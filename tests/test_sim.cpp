@@ -659,3 +659,220 @@ TEST(Model, ProbeReadsTheLastRunOfEitherKind) {
     EXPECT_EQ(lane_samples(bank, 0), out.at(0).samples);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Run-index contract: every per-run-noise block seeds run r's stream from
+// derive_seed(seed, r), so a model seeked to run r reproduces the r-th run
+// of a sequential model bit-for-bit. This is what lets a pooled evaluator
+// hand segment i to any idle chain seeked to i.
+
+#include <cmath>
+#include <functional>
+
+#include "blocks/cs_encoder.hpp"
+#include "blocks/cs_encoder_active.hpp"
+#include "blocks/lna.hpp"
+#include "blocks/sample_hold.hpp"
+#include "blocks/sar_adc.hpp"
+#include "blocks/transmitter.hpp"
+#include "cs/srbm.hpp"
+#include "power/tech.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+struct NoiseCase {
+  const char* name;
+  double amplitude;  ///< input tone amplitude the block sees unclipped
+  /// Builds the block named "dut"; `lanes` > 1 installs per-lane noise
+  /// seeds where the block supports them.
+  std::function<sim::BlockPtr(std::size_t lanes)> make;
+};
+
+std::vector<std::uint64_t> lane_seeds(std::size_t lanes) {
+  std::vector<std::uint64_t> seeds(lanes);
+  for (std::size_t k = 0; k < lanes; ++k) seeds[k] = derive_seed(0x5EED, k);
+  return seeds;
+}
+
+template <typename B>
+sim::BlockPtr with_lane_seeds(std::unique_ptr<B> block, std::size_t lanes) {
+  if (lanes > 1) block->set_lane_noise_seeds(lane_seeds(lanes));
+  return block;
+}
+
+power::DesignParams cs_design(power::CsStyle style) {
+  power::DesignParams d;
+  d.cs_m = 75;
+  d.cs_style = style;
+  return d;
+}
+
+std::vector<NoiseCase> noise_cases() {
+  static const power::TechnologyParams tech;
+  static const power::DesignParams base;
+  static const power::DesignParams passive =
+      cs_design(power::CsStyle::PassiveCharge);
+  static const power::DesignParams active =
+      cs_design(power::CsStyle::ActiveIntegrator);
+  const auto phi = [](const power::DesignParams& d) {
+    return cs::SparseBinaryMatrix::generate(
+        static_cast<std::size_t>(d.cs_m), static_cast<std::size_t>(d.cs_n_phi),
+        static_cast<std::size_t>(d.cs_sparsity), 9);
+  };
+  return {
+      {"lna", 200e-6,
+       [](std::size_t k) {
+         return with_lane_seeds(
+             std::make_unique<blocks::LnaBlock>("dut", tech, base, 1), k);
+       }},
+      {"sample_hold", 0.5,
+       [](std::size_t k) {
+         return with_lane_seeds(
+             std::make_unique<blocks::SampleHoldBlock>(
+                 "dut", tech, base, 2, 0.01 / base.f_sample_hz()),
+             k);
+       }},
+      {"sar_adc", 0.5,
+       [](std::size_t k) {
+         return with_lane_seeds(
+             std::make_unique<blocks::SarAdcBlock>("dut", tech, base, 3, 4),
+             k);
+       }},
+      {"cs_passive", 0.5,
+       [phi](std::size_t k) {
+         return with_lane_seeds(std::make_unique<blocks::CsEncoderBlock>(
+                                    "dut", tech, passive, phi(passive), 5, 6),
+                                k);
+       }},
+      {"cs_active", 0.5,
+       [phi](std::size_t) -> sim::BlockPtr {
+         return std::make_unique<blocks::ActiveCsEncoderBlock>(
+             "dut", tech, active, phi(active), 7, 8);
+       }},
+      {"tx_ber", 0.5,
+       [](std::size_t k) {
+         return with_lane_seeds(
+             std::make_unique<blocks::TransmitterBlock>("dut", tech, base, 9,
+                                                        0.01),
+             k);
+       }},
+      {"noise_adder", 0.5,
+       [](std::size_t k) {
+         return with_lane_seeds(
+             std::make_unique<blocks::NoiseAdderBlock>("dut", 1e-3, 10), k);
+       }},
+  };
+}
+
+/// 2 s of a 7 Hz tone at 4096 Hz: fast enough for the LNA bandwidth, long
+/// enough for two CS frames.
+Waveform noise_input(double amplitude) {
+  std::vector<double> v(8192);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = amplitude * std::sin(2.0 * 3.141592653589793 * 7.0 *
+                                static_cast<double>(i) / 4096.0);
+  }
+  return Waveform(4096.0, std::move(v));
+}
+
+/// source -> dut, the source holding the case's input.
+std::unique_ptr<sim::Model> noise_model(const NoiseCase& c, std::size_t lanes) {
+  auto model = std::make_unique<sim::Model>();
+  auto& src = model->emplace<blocks::WaveformSource>("src");
+  src.set_waveform(noise_input(c.amplitude));
+  model->connect(model->id_of("src"), model->add(c.make(lanes)));
+  return model;
+}
+
+/// One run at `lanes` lanes (run() at K=1), flattened: the uniform flag
+/// followed by every stored sample.
+std::vector<double> run_bank(sim::Model& model, std::size_t lanes) {
+  if (lanes == 1) return model.run().front().samples;
+  const sim::LaneBank& bank = *model.run_batch(lanes).front();
+  std::vector<double> out{bank.uniform() ? 1.0 : 0.0};
+  out.insert(out.end(), bank.data().begin(), bank.data().end());
+  return out;
+}
+
+constexpr std::size_t kRuns = 4;
+
+}  // namespace
+
+TEST(RunIndex, SeekReproducesSequentialRunsBitwise) {
+  for (const NoiseCase& c : noise_cases()) {
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
+      auto sequential = noise_model(c, lanes);
+      std::vector<std::vector<double>> runs;
+      for (std::size_t r = 0; r < kRuns; ++r) {
+        EXPECT_EQ(sequential->run_index(), r) << c.name;
+        runs.push_back(run_bank(*sequential, lanes));
+      }
+      // The noise really moves run to run, so the checks below bite.
+      EXPECT_NE(runs[0], runs[1]) << c.name << " K=" << lanes;
+      for (std::size_t r = 0; r < kRuns; ++r) {
+        auto fresh = noise_model(c, lanes);
+        fresh->seek_run(r);
+        EXPECT_EQ(run_bank(*fresh, lanes), runs[r])
+            << c.name << " K=" << lanes << " run " << r;
+      }
+      // Seeking backwards on a used model works too (a reused chain).
+      sequential->seek_run(1);
+      EXPECT_EQ(run_bank(*sequential, lanes), runs[1]) << c.name;
+      EXPECT_EQ(sequential->run_index(), 2u) << c.name;
+    }
+  }
+}
+
+TEST(RunIndex, ResetReturnsToRunZero) {
+  for (const NoiseCase& c : noise_cases()) {
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
+      auto model = noise_model(c, lanes);
+      const auto first = run_bank(*model, lanes);
+      for (std::size_t r = 1; r < kRuns; ++r) run_bank(*model, lanes);
+      model->reset();
+      EXPECT_EQ(model->run_index(), 0u);
+      EXPECT_EQ(run_bank(*model, lanes), first) << c.name << " K=" << lanes;
+    }
+    // A block used on its own advances and rewinds the same way.
+    auto block = c.make(1);
+    const Waveform in = noise_input(c.amplitude);
+    const auto a = block->process({in})[0].samples;
+    EXPECT_EQ(block->run_index(), 1u) << c.name;
+    EXPECT_NE(block->process({in})[0].samples, a) << c.name;
+    block->reset();
+    EXPECT_EQ(block->run_index(), 0u) << c.name;
+    EXPECT_EQ(block->process({in})[0].samples, a) << c.name;
+  }
+}
+
+TEST(RunIndex, CompositeForwardsTheSeek) {
+  for (const NoiseCase& c : noise_cases()) {
+    const auto make_outer = [&] {
+      auto inner = std::make_unique<sim::Model>();
+      const auto in = inner->add(std::make_unique<blocks::WaveformSource>("in"));
+      inner->connect(in, inner->add(c.make(1)));
+      auto outer = std::make_unique<sim::Model>();
+      const auto src = outer->add(
+          std::make_unique<TestSource>("src", noise_input(c.amplitude)));
+      const auto comp = outer->add(std::make_unique<sim::CompositeBlock>(
+          "frontend", std::move(inner), "in"));
+      outer->connect(src, comp);
+      return outer;
+    };
+    auto flat = noise_model(c, 1);
+    auto sequential = make_outer();
+    std::vector<std::vector<double>> runs;
+    for (std::size_t r = 0; r < kRuns; ++r) {
+      runs.push_back(run_bank(*sequential, 1));
+      // The subsystem draws exactly what the flat block draws at run r.
+      EXPECT_EQ(runs.back(), run_bank(*flat, 1)) << c.name << " run " << r;
+    }
+    EXPECT_NE(runs[0], runs[1]) << c.name;
+    for (std::size_t r = 0; r < kRuns; ++r) {
+      auto fresh = make_outer();
+      fresh->seek_run(r);
+      EXPECT_EQ(run_bank(*fresh, 1), runs[r]) << c.name << " run " << r;
+    }
+  }
+}
