@@ -1,12 +1,15 @@
 // google-benchmark microbenchmarks of the numerical kernels that dominate
 // sweep runtime: FFT, Welch PSD, matrix multiply, Gram build, OMP
-// reconstruction (Batch vs naive), the sparse-vs-dense charge-sharing
-// encode, and the dictionary build. Owns its own main() so the obs
-// sidecar captures real counters and the per-kernel timings land in the
-// BENCH_kernels.json trajectory file at the working directory root.
+// reconstruction (Batch vs naive), per-solver frame decodes (BSBL also at
+// its iteration cap), the sparse-vs-dense charge-sharing encode, and the
+// dictionary build. Owns its own main() so the obs sidecar captures real
+// counters and the per-kernel timings land in the BENCH_kernels.json
+// trajectory file (stamped with the host fingerprint) at the working
+// directory root.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -18,6 +21,7 @@
 #include "cs/effective.hpp"
 #include "cs/omp.hpp"
 #include "cs/reconstructor.hpp"
+#include "cs/solver.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/metrics.hpp"
 #include "linalg/matrix.hpp"
@@ -167,6 +171,44 @@ static void BM_BsblFrame(benchmark::State& state) {
   solver_frame_bench(state, "bsbl");
 }
 BENCHMARK(BM_BsblFrame)->Arg(75)->Arg(150);
+
+static void BM_BsblFrameAtCap(benchmark::State& state) {
+  // The regime sweeps hit: chain frames carry front-end noise, so BSBL's
+  // learned noise floor keeps moving and the BO loop runs to its 100-
+  // iteration cap (BM_BsblFrame's clean frame converges in a few). Same
+  // s-SRBM, gains and truncated DCT dictionary as the reconstructor, plus
+  // white noise at 10% of the measurement RMS.
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  auto p = make_omp_problem(m);
+  const double rms =
+      linalg::norm2(p.y) / std::sqrt(static_cast<double>(p.y.size()));
+  Rng rng(11);
+  for (double& v : p.y) v += 0.1 * rms * rng.gaussian();
+
+  const std::size_t n = p.phi.cols();
+  const auto atoms =
+      static_cast<std::size_t>(0.85 * static_cast<double>(m));
+  const auto psi = cs::dct_synthesis_matrix(n);
+  linalg::Matrix psi_trunc(n, atoms);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = 0; k < atoms; ++k) psi_trunc(r, k) = psi(r, k);
+  }
+  cs::SolverOptions opts;
+  opts.residual_tol = 0.02;
+  const auto solver = cs::SolverRegistry::instance().get("bsbl").prepare(
+      cs::effective_dictionary(p.phi, p.gains.a, p.gains.b, psi_trunc), opts);
+  std::size_t iters = 0;
+  for (auto _ : state) {
+    auto sol = solver->solve(p.y);
+    iters = sol.iterations;
+    benchmark::DoNotOptimize(sol.coefficients.data());
+  }
+  state.counters["bo_iters"] = static_cast<double>(iters);
+  if (iters != opts.max_iters) {
+    state.SkipWithError("frame converged before the iteration cap");
+  }
+}
+BENCHMARK(BM_BsblFrameAtCap)->Arg(75);
 
 static void BM_AmpFrame(benchmark::State& state) {
   solver_frame_bench(state, "amp");
@@ -325,12 +367,15 @@ void write_bench_kernels_json(
       << ",\n"
       << "    \"bsbl_solves_per_s\": " << solves_per_s("BM_BsblFrame/75")
       << ",\n"
+      << "    \"bsbl_at_cap_solves_per_s\": "
+      << solves_per_s("BM_BsblFrameAtCap/75") << ",\n"
       << "    \"amp_solves_per_s\": " << solves_per_s("BM_AmpFrame/75")
       << ",\n"
       << "    \"iht_solves_per_s\": " << solves_per_s("BM_IhtFrame/75")
       << ",\n"
       << "    \"ista_solves_per_s\": " << solves_per_s("BM_IstaFrame/75")
-      << "\n  },\n  \"omp\": " << bench::omp_instruments_json() << "\n}\n";
+      << "\n  },\n  \"omp\": " << bench::omp_instruments_json()
+      << ",\n  \"host\": " << bench::host_json() << "\n}\n";
   std::cout << "[writing BENCH_kernels.json]\n";
 }
 

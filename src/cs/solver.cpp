@@ -147,14 +147,11 @@ class IstaSolverEntry final : public SparseSolver {
 
 class BsblPrepared final : public PreparedSolver {
  public:
-  BsblPrepared(linalg::Matrix dictionary, const SolverOptions& options)
-      : dictionary_(std::move(dictionary)) {
-    options_.max_iters = options.max_iters;
-    options_.residual_tol = options.residual_tol;
-  }
+  BsblPrepared(const linalg::Matrix& dictionary, const SolverOptions& options)
+      : solver_(dictionary, bsbl_options(options)) {}
 
   SparseSolution solve(const linalg::Vector& y) const override {
-    BsblResult res = bsbl_solve(dictionary_, y, options_);
+    BsblResult res = solver_.solve(y);
     SparseSolution sol;
     sol.coefficients = std::move(res.coefficients);
     sol.residual_norm = res.residual_norm;
@@ -163,8 +160,14 @@ class BsblPrepared final : public PreparedSolver {
   }
 
  private:
-  linalg::Matrix dictionary_;
-  BsblOptions options_;
+  static BsblOptions bsbl_options(const SolverOptions& options) {
+    BsblOptions opts;
+    opts.max_iters = options.max_iters;
+    opts.residual_tol = options.residual_tol;
+    return opts;
+  }
+
+  BsblSolver solver_;
 };
 
 class BsblSolverEntry final : public SparseSolver {
@@ -175,7 +178,7 @@ class BsblSolverEntry final : public SparseSolver {
   }
   std::shared_ptr<const PreparedSolver> prepare(
       linalg::Matrix dictionary, const SolverOptions& options) const override {
-    return std::make_shared<BsblPrepared>(std::move(dictionary), options);
+    return std::make_shared<BsblPrepared>(dictionary, options);
   }
 };
 

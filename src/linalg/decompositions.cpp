@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/lane_kernels.hpp"
 #include "util/error.hpp"
 
 namespace efficsense::linalg {
@@ -56,23 +57,27 @@ QrResult qr_decompose(const Matrix& a) {
   return out;
 }
 
-Matrix cholesky(const Matrix& a) {
+void cholesky(Matrix& a) {
   const std::size_t n = a.rows();
   EFF_REQUIRE(n == a.cols(), "cholesky requires a square matrix");
-  Matrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double sum = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
-      if (i == j) {
-        EFF_REQUIRE(sum > 0.0, "matrix is not positive definite");
-        l(i, i) = std::sqrt(sum);
-      } else {
-        l(i, j) = sum / l(j, j);
-      }
+  double* u = a.data().data();
+  for (std::size_t j = 0; j < n; ++j) {
+    // Row j of U (column j of L), entries j..n-1: subtract the k < j terms
+    // L(i,k) L(j,k) = U(k,i) U(k,j) from the upper triangle of A.
+    double* uj = u + j * n;
+    std::size_t k = 0;
+    for (; k + 4 <= j; k += 4) {
+      const double* r = u + k * n;
+      sub_scaled4(uj + j, r + j, r + n + j, r + 2 * n + j, r + 3 * n + j,
+                  r[j], r[n + j], r[2 * n + j], r[3 * n + j], n - j);
     }
+    for (; k < j; ++k) sub_scaled(uj + j, u + k * n + j, u[k * n + j], n - j);
+    EFF_REQUIRE(uj[j] > 0.0, "matrix is not positive definite");
+    const double pivot = std::sqrt(uj[j]);
+    uj[j] = pivot;
+    for (std::size_t i = j + 1; i < n; ++i) uj[i] /= pivot;
+    for (std::size_t i = 0; i < j; ++i) uj[i] = 0.0;
   }
-  return l;
 }
 
 Vector solve_lower(const Matrix& l, const Vector& b) {
@@ -86,6 +91,60 @@ Vector solve_lower(const Matrix& l, const Vector& b) {
     y[i] = sum / l(i, i);
   }
   return y;
+}
+
+void solve_lower_multi(const Matrix& u, double* b, std::size_t cols) {
+  const std::size_t n = u.rows();
+  EFF_REQUIRE(n == u.cols(), "solve_lower_multi needs a square factor");
+  const double* f = u.data().data();
+  for (std::size_t i = 0; i < n; ++i) {
+    // X(i,:) = (B(i,:) - sum_k L(i,k) X(k,:)) / L(i,i), L(i,k) = U(k,i).
+    double* xi = b + i * cols;
+    std::size_t k = 0;
+    for (; k + 4 <= i; k += 4) {
+      const double* xk = b + k * cols;
+      sub_scaled4(xi, xk, xk + cols, xk + 2 * cols, xk + 3 * cols,
+                  f[k * n + i], f[(k + 1) * n + i], f[(k + 2) * n + i],
+                  f[(k + 3) * n + i], cols);
+    }
+    for (; k < i; ++k) sub_scaled(xi, b + k * cols, f[k * n + i], cols);
+    const double d = f[i * n + i];
+    EFF_REQUIRE(d != 0.0, "singular lower-triangular matrix");
+    for (std::size_t c = 0; c < cols; ++c) xi[c] /= d;
+  }
+}
+
+void invert_lower(const Matrix& u, Matrix& x) {
+  const std::size_t n = u.rows();
+  EFF_REQUIRE(n == u.cols() && x.rows() == n && x.cols() == n,
+              "invert_lower shape mismatch");
+  const double* f = u.data().data();
+  double* out = x.data().data();
+  for (std::size_t r = 0; r < n; ++r) {
+    // Row r of L^{-1}: X(r,i) = -sum_{k=i}^{r-1} L(r,k) X(k,i) / L(r,r).
+    // X(k,i) vanishes for i > k, so the k-th term only reaches i <= k.
+    double* xr = out + r * n;
+    for (std::size_t i = 0; i < r; ++i) xr[i] = 0.0;
+    std::size_t k = 0;
+    for (; k + 4 <= r; k += 4) {
+      const double* xk = out + k * n;
+      const double c0 = f[k * n + r], c1 = f[(k + 1) * n + r],
+                   c2 = f[(k + 2) * n + r], c3 = f[(k + 3) * n + r];
+      sub_scaled4(xr, xk, xk + n, xk + 2 * n, xk + 3 * n, c0, c1, c2, c3,
+                  k + 1);
+      // The triangle the four-term pass left out, still in ascending k.
+      xr[k + 1] = ((xr[k + 1] - c1 * xk[n + k + 1]) -
+                   c2 * xk[2 * n + k + 1]) -
+                  c3 * xk[3 * n + k + 1];
+      xr[k + 2] = (xr[k + 2] - c2 * xk[2 * n + k + 2]) - c3 * xk[3 * n + k + 2];
+      xr[k + 3] -= c3 * xk[3 * n + k + 3];
+    }
+    for (; k < r; ++k) sub_scaled(xr, out + k * n, f[k * n + r], k + 1);
+    const double d = f[r * n + r];
+    EFF_REQUIRE(d != 0.0, "singular lower-triangular matrix");
+    for (std::size_t i = 0; i < r; ++i) xr[i] /= d;
+    xr[r] = 1.0 / d;
+  }
 }
 
 Vector solve_upper(const Matrix& u, const Vector& y) {

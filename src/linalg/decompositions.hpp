@@ -14,12 +14,32 @@ struct QrResult {
 };
 QrResult qr_decompose(const Matrix& a);
 
-/// Cholesky factor L (lower triangular) of a symmetric positive-definite A.
-/// Throws Error if A is not positive definite.
-Matrix cholesky(const Matrix& a);
+/// Cholesky factorization A = U^T U of a symmetric positive-definite A, in
+/// place: reads the upper triangle of `a` and overwrites `a` with the upper
+/// factor U = L^T (strict lower triangle zeroed), L being the usual lower
+/// Cholesky factor. Left-looking by columns of L: each row of U is
+/// vectorized across its entries, four k-terms per pass, and every entry
+/// keeps the textbook sequence L(i,j) = (A(i,j) - sum_k L(i,k) L(j,k)) /
+/// L(j,j) with the terms subtracted in ascending k. Throws Error if A is
+/// not positive definite.
+void cholesky(Matrix& a);
 
 /// Solve L y = b (forward substitution), L lower triangular.
 Vector solve_lower(const Matrix& l, const Vector& b);
+
+/// Forward substitution L X = B for `cols` right-hand sides at once, with
+/// L = U^T given by the factor `u` from cholesky(). `b` is u.rows() x cols,
+/// row-major, and is overwritten with X. Row-oriented and vectorized across
+/// the right-hand sides; each column of X is bitwise solve_lower(L, column).
+void solve_lower_multi(const Matrix& u, double* b, std::size_t cols);
+
+/// X = L^{-1} for L = U^T, `u` from cholesky(), written into the lower
+/// triangle of the n x n `x` (the strict upper triangle is not touched).
+/// Skips the structural zeros of the triangular inverse (n^3/6 multiply-
+/// subtracts instead of the n^3/2 of n unit-vector solves), and column i is
+/// bitwise solve_lower(L, e_i) on and below the diagonal.
+void invert_lower(const Matrix& u, Matrix& x);
+
 /// Solve U x = y (back substitution), U upper triangular.
 Vector solve_upper(const Matrix& u, const Vector& y);
 

@@ -1,11 +1,12 @@
 #pragma once
-// Cross-lane SIMD kernels for the K-lane batched engine. Every kernel keeps
-// each lane's floating-point accumulation order identical to the scalar
-// path — SIMD runs ACROSS lanes, never along a reduction index — so batched
-// results match the scalar oracle bit for bit. The AVX2 variants are picked
-// by a runtime CPU probe and use separate multiply and add instructions:
-// the build carries no -march flag, so the scalar path never contracts to
-// FMA and the vector path must not either.
+// SIMD kernels for the K-lane batched engine and the dense triangular
+// solves. Every kernel keeps each output's floating-point accumulation
+// order identical to the scalar path — SIMD runs ACROSS independent values
+// (lanes, right-hand sides, matrix entries), never along a reduction
+// index — so results match the scalar oracle bit for bit. The AVX2
+// variants are picked by a runtime CPU probe and use separate multiply and
+// add instructions: the build carries no -march flag, so the scalar path
+// never contracts to FMA and the vector path must not either.
 
 #include <cstddef>
 
@@ -25,6 +26,22 @@ void dot_lanes(const double* a, const double* xt, std::size_t n,
 /// mul/sub are correctly rounded at any width, so the AVX2 path is
 /// bit-identical to the scalar loop.
 void sub_scaled(double* a, const double* r, double c, std::size_t n);
+
+/// a[k] = (((a[k] - r0[k]*c0) - r1[k]*c1) - r2[k]*c2) - r3[k]*c3: four
+/// ascending terms of a triangular update per pass, the running value held
+/// in a register between them. Every a[k] keeps the exact scalar sequence,
+/// so the AVX2 path is bit-identical to four sub_scaled calls in order.
+void sub_scaled4(double* a, const double* r0, const double* r1,
+                 const double* r2, const double* r3, double c0, double c1,
+                 double c2, double c3, std::size_t n);
+
+/// Upper triangle of G = W^T W (n x n, row-major, lower entries near the
+/// diagonal may be written too) for the `rows` x n row-major W with row
+/// pitch `stride` of at least n rounded up to a multiple of 8, the padding
+/// columns zero. Each G(i,j) sums its rows in ascending order
+/// from 0.0, in 4x8 register tiles.
+void gram_rows(const double* w, std::size_t rows, std::size_t stride,
+               std::size_t n, double* g);
 
 /// First k (ascending) maximizing fabs(alpha[k]) / col_norm[k] under
 /// strict '>' updates, skipping entries with live[k] == 0.0. Returns n

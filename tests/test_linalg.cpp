@@ -157,9 +157,70 @@ TEST(Cholesky, FactorsSpdMatrix) {
   const auto b = random_matrix(6, 6, 9);
   auto spd = linalg::matmul(b, b.transposed());
   for (std::size_t i = 0; i < 6; ++i) spd(i, i) += 1.0;
-  const auto l = linalg::cholesky(spd);
-  EXPECT_LT(max_abs_diff(linalg::matmul(l, l.transposed()), spd), 1e-10);
+  Matrix u = spd;
+  linalg::cholesky(u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = 0; j < i; ++j) EXPECT_EQ(u(i, j), 0.0);
+  }
+  EXPECT_LT(max_abs_diff(linalg::matmul(u.transposed(), u), spd), 1e-10);
 }
+
+// The in-place kernels promise each entry's textbook operation sequence,
+// so they are compared bitwise (EXPECT_EQ, not a tolerance) against plain
+// scalar references, at sizes that exercise the four-term passes' tails.
+class TriangularKernels : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TriangularKernels, CholeskyMatchesRowDotProductBitwise) {
+  const std::size_t n = GetParam();
+  const auto b = random_matrix(n, n + 3, 31 + n);
+  auto spd = linalg::matmul(b, b.transposed());
+  for (std::size_t i = 0; i < n; ++i) spd(i, i) += 0.5;
+  Matrix l(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sum = spd(i, j);
+      for (std::size_t k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
+      l(i, j) = i == j ? std::sqrt(sum) : sum / l(j, j);
+    }
+  }
+  Matrix u = spd;
+  linalg::cholesky(u);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(u(j, i), j <= i ? l(i, j) : 0.0) << i << "," << j;
+    }
+  }
+}
+
+TEST_P(TriangularKernels, MultiRhsAndInverseMatchUnitSolvesBitwise) {
+  const std::size_t n = GetParam(), cols = 7;
+  const auto b = random_matrix(n, n + 3, 41 + n);
+  auto u = linalg::matmul(b, b.transposed());
+  for (std::size_t i = 0; i < n; ++i) u(i, i) += 0.5;
+  linalg::cholesky(u);
+  const Matrix l = u.transposed();
+
+  const auto rhs = random_matrix(n, cols, 51 + n);
+  Matrix x = rhs;
+  linalg::solve_lower_multi(u, x.data().data(), cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    const auto ref = linalg::solve_lower(l, rhs.column(c));
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x(i, c), ref[i]) << c;
+  }
+
+  Matrix inv(n, n, -7.0);
+  linalg::invert_lower(u, inv);
+  for (std::size_t c = 0; c < n; ++c) {
+    Vector e(n, 0.0);
+    e[c] = 1.0;
+    const auto ref = linalg::solve_lower(l, e);
+    for (std::size_t i = c; i < n; ++i) EXPECT_EQ(inv(i, c), ref[i]) << c;
+    for (std::size_t i = 0; i < c; ++i) EXPECT_EQ(inv(i, c), -7.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, TriangularKernels,
+                         ::testing::Values(1, 2, 3, 4, 5, 8, 11, 75));
 
 TEST(Cholesky, RejectsIndefinite) {
   auto m = Matrix::identity(3);

@@ -1,12 +1,14 @@
 // The pluggable sparse-solver registry: dispatch, codes, error contracts,
-// the default solver id, BSBL/AMP accuracy versus a naive
-// oracle, seed-pinned IHT/ISTA recovery, the solver-keyed reconstructor
-// cache, solver-sensitive config digests, and the scalar solve_multi
-// fallback's bit-identity on the lane path.
+// the default solver id, BSBL/AMP accuracy versus a naive oracle, BSBL
+// bitwise goldens, seed-pinned IHT/ISTA recovery, the solver-keyed
+// reconstructor cache, solver-sensitive config digests, and the scalar
+// solve_multi fallback's bit-identity on the lane path.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -23,6 +25,7 @@
 #include "cs/srbm.hpp"
 #include "eeg/generator.hpp"
 #include "linalg/decompositions.hpp"
+#include "serve/wire.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -306,6 +309,139 @@ TEST(SolverRecovery, BsblAndAmpAreDeterministic) {
       EXPECT_EQ(a.coefficients[j], b.coefficients[j]) << id;
     }
   }
+}
+
+// --- BSBL bitwise goldens --------------------------------------------------
+// FNV-1a digests of bsbl_solve's coefficient bits, residual bits and
+// iteration count, recorded from the straightforward per-atom BO loop (one
+// solve_lower per atom, tr(Sigma_y^-1) from unit vectors) before it was
+// rewritten around the active-set Sigma_y. The rewrite keeps every value's
+// floating-point operation sequence, so any reordered sum, contracted
+// multiply-add or skipped nonzero term moves these digests.
+
+namespace {
+
+std::uint64_t bsbl_digest(const cs::BsblResult& r) {
+  std::uint64_t h = serve::fnv1a_bytes(
+      r.coefficients.data(), r.coefficients.size() * sizeof(double));
+  h = serve::fnv1a_update(h, &r.residual_norm, sizeof(double));
+  const std::uint64_t iters = r.iterations;
+  return serve::fnv1a_update(h, &iters, sizeof(iters));
+}
+
+/// Blocks of `block_size` atoms holding at least one nonzero coefficient.
+std::size_t live_blocks(const linalg::Vector& x, std::size_t block_size) {
+  std::set<std::size_t> live;
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    if (x[j] != 0.0) live.insert(j / block_size);
+  }
+  return live.size();
+}
+
+/// A noisy chain frame at the paper's M = 75: the charge-sharing s-SRBM
+/// (N = 384, s = 2) times the DCT basis truncated to the reconstructor's
+/// automatic 0.85*M atoms, and a band-limited frame plus white noise at
+/// about 10% of the measurement RMS — the regime in which BSBL runs to its
+/// iteration cap on chain EEG frames.
+struct NoisyChainFrame {
+  linalg::Matrix dictionary;
+  linalg::Vector y;
+};
+
+NoisyChainFrame noisy_chain_frame() {
+  const std::size_t m = 75, n = 384, atoms = 63;
+  const auto phi = cs::SparseBinaryMatrix::generate(m, n, 2, 9);
+  const auto gains = cs::charge_sharing_gains(0.125e-12, 0.5e-12);
+  const auto psi = cs::dct_synthesis_matrix(n);
+  linalg::Matrix psi_trunc(n, atoms);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = 0; k < atoms; ++k) psi_trunc(r, k) = psi(r, k);
+  }
+  NoisyChainFrame f;
+  f.dictionary = cs::effective_dictionary(phi, gains.a, gains.b, psi_trunc);
+  const auto w = cs::effective_entry_weights(phi, gains.a, gains.b);
+  f.y = phi.csr().apply(bandlimited_frame(n, 77), w);
+  const double rms =
+      linalg::norm2(f.y) / std::sqrt(static_cast<double>(f.y.size()));
+  Rng rng(78);
+  for (double& v : f.y) v += 0.1 * rms * rng.gaussian();
+  return f;
+}
+
+}  // namespace
+
+TEST(BsblGolden, LearnedAndFixedLambda) {
+  const auto dict = gaussian_dict(48, 96, 41);
+  auto y = linalg::matvec(dict, block_sparse_vector(96, 8, 3, 42));
+  Rng rng(43);
+  for (double& v : y) v += 0.05 * rng.gaussian();
+
+  const auto learned = cs::bsbl_solve(dict, y);
+  EXPECT_EQ(bsbl_digest(learned), 0x115d1e6b2b2ec06fULL);
+
+  cs::BsblOptions fixed;
+  fixed.lambda = 2.5e-3;
+  const auto pinned = cs::bsbl_solve(dict, y, fixed);
+  EXPECT_EQ(bsbl_digest(pinned), 0xb7bd2bf40810e0baULL);
+}
+
+TEST(BsblGolden, HeavyPruningDownToFewBlocks) {
+  const auto dict = gaussian_dict(64, 128, 1007);
+  const auto y = linalg::matvec(dict, block_sparse_vector(128, 8, 2, 2007));
+  cs::BsblOptions opts;
+  opts.residual_tol = 1e-6;
+  opts.max_iters = 200;
+  const auto res = cs::bsbl_solve(dict, y, opts);
+  const std::size_t live = live_blocks(res.coefficients, 8);
+  EXPECT_GE(live, 1u);
+  EXPECT_LE(live, 3u);
+  EXPECT_EQ(bsbl_digest(res), 0x3a1cc80db0c77244ULL);
+}
+
+TEST(BsblGolden, AtomCountNotAMultipleOfBlockSize) {
+  const auto dict = gaussian_dict(40, 83, 51);
+  const auto y = linalg::matvec(dict, block_sparse_vector(83, 6, 3, 52));
+  cs::BsblOptions opts;
+  opts.block_size = 6;  // 13 full blocks and a 5-atom tail
+  const auto res = cs::bsbl_solve(dict, y, opts);
+  EXPECT_EQ(bsbl_digest(res), 0xb6fbf8707f10e6f5ULL);
+}
+
+TEST(BsblGolden, ZeroMeasurementsGiveZeroFrame) {
+  const auto dict = gaussian_dict(32, 64, 61);
+  const auto res = cs::bsbl_solve(dict, linalg::Vector(32, 0.0));
+  EXPECT_EQ(res.iterations, 0u);
+  EXPECT_EQ(res.residual_norm, 0.0);
+  for (double c : res.coefficients) EXPECT_EQ(c, 0.0);
+  EXPECT_EQ(bsbl_digest(res), 0x5be53abc266c8c65ULL);
+}
+
+TEST(BsblGolden, SmallIterationCap) {
+  const auto dict = gaussian_dict(48, 96, 71);
+  const auto y = linalg::matvec(dict, block_sparse_vector(96, 8, 4, 72));
+  cs::BsblOptions opts;
+  opts.max_iters = 3;
+  const auto res = cs::bsbl_solve(dict, y, opts);
+  EXPECT_EQ(res.iterations, 3u);
+  EXPECT_EQ(bsbl_digest(res), 0x4698070e5867b8dbULL);
+}
+
+TEST(BsblGolden, NoisyChainFrameRunsToTheIterationCap) {
+  const auto f = noisy_chain_frame();
+  cs::BsblOptions opts;
+  opts.residual_tol = 0.02;  // the chain reconstructor's tolerance
+  const auto res = cs::bsbl_solve(f.dictionary, f.y, opts);
+  EXPECT_EQ(res.iterations, opts.max_iters);
+  EXPECT_EQ(bsbl_digest(res), 0xbe4c2e95c5c5cfcbULL);
+}
+
+TEST(BsblGolden, NonFiniteSigmaYThrows) {
+  // A NaN atom makes Sigma_y non-SPD; the Cholesky refuses it.
+  auto dict = gaussian_dict(24, 48, 81);
+  dict(3, 5) = std::numeric_limits<double>::quiet_NaN();
+  const auto y = linalg::matvec(gaussian_dict(24, 48, 82),
+                                sparse_vector(48, 4, 83));
+  EXPECT_THROW(cs::bsbl_solve(dict, y), Error);
 }
 
 // --- Solver-keyed reconstructor cache --------------------------------------
