@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "cs/effective.hpp"
 #include "obs/metrics.hpp"
@@ -214,19 +215,7 @@ EpilepsyDetector EpilepsyDetector::train(const eeg::Dataset& clean_dataset,
 
 std::vector<double> EpilepsyDetector::epoch_probabilities(
     const std::vector<double>& x, double fs) const {
-  const auto f_start = std::chrono::steady_clock::now();
-  const auto epochs = extractor_.epoch_matrix(x, fs);
-  obs::histogram("time/detect_features")
-      .observe(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             f_start)
-                   .count());
-  std::vector<double> probs(epochs.rows());
-  linalg::Vector row(epochs.cols());
-  for (std::size_t e = 0; e < epochs.rows(); ++e) {
-    for (std::size_t c = 0; c < epochs.cols(); ++c) row[c] = epochs(e, c);
-    probs[e] = net_.predict_proba(standardizer_.transform(row));
-  }
-  return probs;
+  return std::move(epoch_probabilities_lanes({&x}, fs).front());
 }
 
 std::vector<std::vector<double>> EpilepsyDetector::epoch_probabilities_lanes(
@@ -304,20 +293,7 @@ double EpilepsyDetector::seizure_probability(const std::vector<double>& x,
 EpilepsyDetector::EpochScore EpilepsyDetector::score_epochs(
     const std::vector<double>& x, double fs,
     const std::optional<eeg::IctalAnnotation>& ictal) const {
-  const auto start = std::chrono::steady_clock::now();
-  const auto probs = epoch_probabilities(x, fs);
-  const auto truth = epoch_labels(ictal, probs.size(), config_.features.epoch_s);
-  EpochScore score;
-  for (std::size_t e = 0; e < probs.size(); ++e) {
-    if (!truth[e].has_value()) continue;
-    ++score.scored;
-    if ((probs[e] >= 0.5) == (*truth[e] >= 0.5)) ++score.correct;
-  }
-  obs::histogram("time/detect_score")
-      .observe(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             start)
-                   .count());
-  return score;
+  return score_epochs_lanes({&x}, fs, ictal).front();
 }
 
 std::string EpilepsyDetector::to_blob() const {

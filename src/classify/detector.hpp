@@ -87,7 +87,8 @@ class EpilepsyDetector {
   static EpilepsyDetector train(const eeg::Dataset& clean_dataset,
                                 const DetectorConfig& config = {});
 
-  /// P(seizure) of every complete epoch of a record at rate `fs`.
+  /// P(seizure) of every complete epoch of a record at rate `fs`: lane 0
+  /// of a one-lane epoch_probabilities_lanes.
   std::vector<double> epoch_probabilities(const std::vector<double>& x,
                                           double fs) const;
 
@@ -103,19 +104,20 @@ class EpilepsyDetector {
     std::size_t correct = 0;
     std::size_t scored = 0;
   };
+  /// Lane 0 of a one-lane score_epochs_lanes.
   EpochScore score_epochs(const std::vector<double>& x, double fs,
                           const std::optional<eeg::IctalAnnotation>& ictal) const;
 
   /// Epoch probabilities of `lanes` equal-length records in lockstep;
-  /// element [l][e] matches epoch_probabilities(*xs[l], fs)[e] bit for bit.
-  /// Feature extraction runs across lanes (the dominant cost — the shared
+  /// element [l][e] is bit-identical to scoring record l alone. Feature
+  /// extraction runs across lanes (the dominant cost — the shared
   /// Welch/FFT schedule amortizes over the lane group); the tiny MLP head
   /// stays per lane.
   std::vector<std::vector<double>> epoch_probabilities_lanes(
       const std::vector<const std::vector<double>*>& xs, double fs) const;
 
-  /// score_epochs across a lane group: scores[l] matches
-  /// score_epochs(*xs[l], fs, ictal) exactly.
+  /// Epoch-level scoring of a lane group: scores[l] is exactly the score
+  /// of record l alone.
   std::vector<EpochScore> score_epochs_lanes(
       const std::vector<const std::vector<double>*>& xs, double fs,
       const std::optional<eeg::IctalAnnotation>& ictal) const;

@@ -143,6 +143,14 @@ linalg::Matrix FeatureExtractor::epoch_features_lanes(const double* const* xs,
   EFF_REQUIRE(lanes >= 1, "epoch_features_lanes needs at least one lane");
   EFF_REQUIRE(n >= 64, "epoch must have at least 64 samples");
   EFF_REQUIRE(fs > 0.0, "sample rate must be positive");
+  if (lanes == 1) {
+    // One lane: the scalar FFT is faster than the lane FFT's SoA transpose
+    // and butterflies at this width, and gives the same bits.
+    const auto f = epoch_features(std::vector<double>(xs[0], xs[0] + n), fs);
+    linalg::Matrix out(1, kEpochFeatures);
+    for (std::size_t c = 0; c < kEpochFeatures; ++c) out(0, c) = f[c];
+    return out;
+  }
 
   // Sample-major SoA transpose; per-lane reductions below accumulate in the
   // scalar order (the i loop is outer), the lane loop carries no cross-lane

@@ -35,6 +35,7 @@ class FeatureExtractor {
   /// matrix whose row l matches epoch_features of lane l bit for bit — the
   /// Welch/FFT schedule is lane-invariant and every per-lane reduction
   /// keeps the scalar accumulation order, with SIMD across lanes only.
+  /// One lane runs epoch_features itself (the scalar FFT is faster there).
   linalg::Matrix epoch_features_lanes(const double* const* xs,
                                       std::size_t lanes, std::size_t n,
                                       double fs) const;

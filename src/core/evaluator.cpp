@@ -118,121 +118,23 @@ std::uint64_t Evaluator::config_digest() const {
   return fnv1a(bytes);
 }
 
-Evaluator::SegmentOutcome Evaluator::process_segment(
-    sim::Model& chain, const arch::Decoder& decoder,
-    const power::DesignParams& design, const sim::Waveform& clean) const {
-  SegmentOutcome out;
-  const sim::Waveform received = arch::run_chain(chain, clean);
-
-  // At LNA-output scale; rate f_sample for reconstructing decoders, the
-  // compressed f_sample * M / N_Phi for the measurement-domain path.
-  std::vector<double> signal = decoder.decode(received.samples, pool_);
-  EFF_REQUIRE(!signal.empty(), "front-end produced no samples");
-
-  // Ground truth: the clean segment ideally sampled at f_sample over the
-  // same wall-clock span (CS drops a trailing partial frame), then mapped
-  // into the decoder's output domain (identity for reconstructing decoders;
-  // nominal y-encode for the measurement-domain path, so SNR is scored in
-  // y-space). snr_vs_reference_db fits the gain, so scale stays free.
-  const double f_sample = design.f_sample_hz();
-  const auto times =
-      dsp::uniform_times(decoder.reference_samples(signal.size()), f_sample);
-  const auto reference =
-      decoder.reference(dsp::sample_at_times(clean.samples, clean.fs, times));
-
-  out.snr_db = dsp::snr_vs_reference_db(reference, signal);
-
-  // Input-referred signal for the detector (receiver knows the LNA gain).
-  out.received.resize(signal.size());
-  const double inv_gain = 1.0 / design.lna_gain;
-  for (std::size_t i = 0; i < signal.size(); ++i) {
-    out.received[i] = signal[i] * inv_gain;
-  }
-  out.fs = f_sample * decoder.rate_scale();
-  return out;
-}
-
 EvalMetrics Evaluator::evaluate(const power::DesignParams& design) const {
-  EFFICSENSE_SPAN("eval/point");
-  const auto eval_start = std::chrono::steady_clock::now();
-  design.validate();
-
-  const arch::Architecture& architecture =
-      arch::ArchRegistry::instance().resolve(options_.architecture, design);
-  auto chain = architecture.build_model(tech_, design, options_.seeds);
-  // Decoders built through the architecture share reconstructors via the
-  // cross-point ReconstructorCache: they depend only on the Phi seed + CS
-  // config — never on the mismatch/noise seeds — so every Monte-Carlo
-  // instance and every sweep point sharing the design's CS front-end reuses
-  // one dictionary + Gram.
-  const auto decoder =
-      architecture.make_decoder(design, options_.seeds, point_recon(design));
-
-  EvalMetrics metrics;
-  const bool live_power = architecture.signal_dependent_power();
-  if (!live_power) {
-    metrics.power_breakdown = architecture.power_report(*chain);
-    metrics.power_w = metrics.power_breakdown.total_watts();
-  }
-  metrics.area_breakdown = architecture.area_report(*chain);
-  metrics.area_unit_caps = metrics.area_breakdown.total_unit_caps();
-
-  std::size_t limit = dataset_->segments.size();
-  if (options_.max_segments > 0) {
-    limit = std::min(limit, options_.max_segments);
-  }
-
-  // Accuracy is epoch-level (as with the paper's window-based CNN [20]):
-  // every unambiguous 2 s epoch of every segment is one decision, scored
-  // against the generator's ground-truth discharge annotations.
-  double snr_sum = 0.0;
-  std::size_t correct = 0, scored = 0;
-  for (std::size_t i = 0; i < limit; ++i) {
-    const auto& segment = dataset_->segments[i];
-    const auto outcome =
-        process_segment(*chain, *decoder, design, segment.waveform);
-    snr_sum += outcome.snr_db;
-    if (live_power) {
-      // Signal-dependent power (event-driven conversion): the report is
-      // only meaningful right after the segment streamed; average over the
-      // dataset.
-      metrics.power_breakdown.merge(architecture.power_report(*chain));
-    }
-    const auto score =
-        detector_->score_epochs(outcome.received, outcome.fs, segment.ictal);
-    correct += score.correct;
-    scored += score.scored;
-  }
-  metrics.segments_evaluated = limit;
-  metrics.snr_db = snr_sum / static_cast<double>(limit);
-  if (live_power) {
-    metrics.power_breakdown.scale(1.0 / static_cast<double>(limit));
-    metrics.power_w = metrics.power_breakdown.total_watts();
-  }
-  EFF_REQUIRE(scored > 0, "no scorable epochs in the dataset");
-  metrics.accuracy = static_cast<double>(correct) / static_cast<double>(scored);
-  obs::counter("eval/points").inc();
-  obs::counter("eval/segments").inc(limit);
-  obs::histogram("eval/point_seconds")
-      .observe(std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - eval_start)
-                   .count());
-  return metrics;
+  return evaluate_lanes(design, {options_.seeds}).front();
 }
 
 namespace {
 
-/// The batch chains of one lane group. A segment task takes an idle chain
-/// (or builds one when all are busy) and gives it back when its bank has
-/// been decoded, so at most one chain lives per executor running the
-/// group's segments.
+/// The chains of one lane group. A segment task takes an idle chain (or
+/// builds one when all are busy) and gives it back when its bank has been
+/// decoded, so at most one chain lives per executor running the group's
+/// segments.
 class ChainFreeList {
  public:
   using Build = std::function<std::unique_ptr<sim::Model>()>;
   explicit ChainFreeList(Build build) : build_(std::move(build)) {}
 
   /// An idle chain, or a freshly built one (nullptr when the architecture
-  /// has no batched model).
+  /// has no model for the group).
   std::unique_ptr<sim::Model> take() {
     {
       std::lock_guard lock(mutex_);
@@ -243,7 +145,7 @@ class ChainFreeList {
       }
     }
     auto chain = build_();
-    if (chain != nullptr) obs::counter("eval/batch_chain_builds").inc();
+    if (chain != nullptr) obs::counter("eval/chain_builds").inc();
     return chain;
   }
 
@@ -258,43 +160,70 @@ class ChainFreeList {
   std::vector<std::unique_ptr<sim::Model>> idle_;
 };
 
+/// Lanes that run in lockstep on one chain, with the reports and the
+/// decoder they share.
+struct LaneGroup {
+  std::vector<arch::ChainSeeds> seeds;
+  std::unique_ptr<ChainFreeList> chains;
+  std::unique_ptr<arch::Decoder> decoder;
+  sim::PowerReport power;  ///< pre-run analytic report (static power only)
+  sim::AreaReport area;
+};
+
+/// One segment of one lane group, per lane.
+struct SegmentResult {
+  std::vector<double> snr_db;
+  std::vector<classify::EpilepsyDetector::EpochScore> scores;
+  sim::PowerReport power;  ///< read right after the run (live power only)
+};
+
 }  // namespace
 
 std::vector<EvalMetrics> Evaluator::evaluate_lanes(
     const power::DesignParams& design,
     const std::vector<arch::ChainSeeds>& lane_seeds) const {
-  if (lane_seeds.size() < 2) return {};  // scalar path covers K <= 1
+  EFF_REQUIRE(!lane_seeds.empty(), "evaluate_lanes needs at least one lane");
+  EFFICSENSE_SPAN("eval/point");
+  const auto eval_start = std::chrono::steady_clock::now();
   design.validate();
+
   const arch::Architecture& architecture =
       arch::ArchRegistry::instance().resolve(options_.architecture, design);
-  // Live (signal-dependent) power must be sampled per scalar instance.
-  if (architecture.signal_dependent_power()) return {};
-  ChainFreeList chains(
-      [&] { return architecture.build_batch_model(tech_, design, lane_seeds); });
-  auto chain = chains.take();
-  if (chain == nullptr) return {};
+  const bool live_power = architecture.signal_dependent_power();
+  const cs::ReconstructorConfig recon = point_recon(design);
 
-  EFFICSENSE_SPAN("eval/batch_point");
-  const auto eval_start = std::chrono::steady_clock::now();
-  const std::size_t lanes = lane_seeds.size();
-
-  // One decoder serves every lane: reconstructors depend only on the shared
-  // phi seed + CS config, never on mismatch/noise seeds.
-  const auto decoder =
-      architecture.make_decoder(design, lane_seeds.front(),
-                                point_recon(design));
-
-  // Power/area are deterministic functions of (tech, design) — independent
-  // of the drawn mismatch — so one report serves all lanes (the scalar path
-  // recomputes the identical report per instance).
-  std::vector<EvalMetrics> metrics(lanes);
-  const sim::PowerReport power = architecture.power_report(*chain);
-  const sim::AreaReport area = architecture.area_report(*chain);
-  for (EvalMetrics& m : metrics) {
-    m.power_breakdown = power;
-    m.power_w = power.total_watts();
-    m.area_breakdown = area;
-    m.area_unit_caps = area.total_unit_caps();
+  // A one-lane group runs on build_model(seeds), a wider one on the
+  // batched model. Power and area are deterministic functions of (tech,
+  // design), independent of the drawn mismatch, so one pre-run report
+  // serves every lane of a group. Decoders built through the architecture
+  // share reconstructors via the cross-point ReconstructorCache: they
+  // depend only on the phi seed + CS config, never on the mismatch/noise
+  // seeds, so one decoder serves every lane too.
+  std::vector<LaneGroup> groups;
+  const auto add_group = [&](std::vector<arch::ChainSeeds> seeds) {
+    LaneGroup group;
+    group.seeds = std::move(seeds);
+    group.chains = std::make_unique<ChainFreeList>(
+        [&architecture, &design, this, seeds = group.seeds] {
+          return seeds.size() == 1
+                     ? architecture.build_model(tech_, design, seeds.front())
+                     : architecture.build_batch_model(tech_, design, seeds);
+        });
+    auto chain = group.chains->take();
+    if (chain == nullptr) return false;
+    if (!live_power) group.power = architecture.power_report(*chain);
+    group.area = architecture.area_report(*chain);
+    group.chains->give_back(std::move(chain));
+    group.decoder =
+        architecture.make_decoder(design, group.seeds.front(), recon);
+    groups.push_back(std::move(group));
+    return true;
+  };
+  // Signal-dependent power is read per instance after each segment, so
+  // such architectures, like those without a batched model, run one-lane
+  // groups.
+  if (live_power || !add_group(lane_seeds)) {
+    for (const arch::ChainSeeds& seeds : lane_seeds) add_group({seeds});
   }
 
   std::size_t limit = dataset_->segments.size();
@@ -303,45 +232,53 @@ std::vector<EvalMetrics> Evaluator::evaluate_lanes(
   }
 
   // Segment i is fully determined by its run index (every noise block seeds
-  // run i from derive_seed(seed, i)), so segments fan out over the pool,
-  // each on a chain seeked to run i. The per-window decode fans out over the
-  // same (reentrant) pool, so a lone segment still uses every executor and
-  // idle executors in the last round help decode the windows still open.
-  chains.give_back(std::move(chain));
-
-  struct SegmentResult {
-    std::vector<double> snr_db;  ///< per lane
-    std::vector<classify::EpilepsyDetector::EpochScore> scores;
-  };
-  std::vector<SegmentResult> results(limit);
+  // run i from derive_seed(seed, i)), so (group, segment) tasks fan out over
+  // the pool, each on a chain of its group seeked to run i. The per-window
+  // decode fans out over the same (reentrant) pool, so a lone segment still
+  // uses every executor and idle executors in the last round help decode
+  // the windows still open.
+  std::vector<std::vector<SegmentResult>> results(
+      groups.size(), std::vector<SegmentResult>(limit));
   const double f_sample = design.f_sample_hz();
   const double inv_gain = 1.0 / design.lna_gain;
 
-  const auto run_segment = [&](std::size_t i) {
+  const auto run_segment = [&](std::size_t task) {
+    const LaneGroup& group = groups[task / limit];
+    const std::size_t i = task % limit;
+    const std::size_t lanes = group.seeds.size();
     const auto& segment = dataset_->segments[i];
+    SegmentResult& out = results[task / limit][i];
+    // At LNA-output scale; rate f_sample for reconstructing decoders, the
+    // compressed f_sample * M / N_Phi for the measurement-domain path.
     std::vector<std::vector<double>> signals;
     {
-      std::unique_ptr<sim::Model> lane_chain = chains.take();
-      lane_chain->seek_run(i);
+      std::unique_ptr<sim::Model> chain = group.chains->take();
+      chain->seek_run(i);
       const sim::LaneBank& received =
-          arch::run_chain_batch(*lane_chain, segment.waveform, lanes);
+          arch::run_chain_batch(*chain, segment.waveform, lanes);
       std::vector<const double*> rows(lanes);
       for (std::size_t k = 0; k < lanes; ++k) rows[k] = received.lane(k);
-      signals = decoder->decode_lanes(rows, received.samples(), pool_);
-      chains.give_back(std::move(lane_chain));
+      signals = group.decoder->decode_lanes(rows, received.samples(), pool_);
+      // Signal-dependent power (event-driven conversion): the report is
+      // only meaningful right after the segment streamed.
+      if (live_power) out.power = architecture.power_report(*chain);
+      group.chains->give_back(std::move(chain));
     }
 
-    // Ground truth: shared across lanes — every lane decodes the same
-    // number of samples from the same clean segment. Mapped into the
-    // decoder's output domain exactly as in process_segment.
+    // Ground truth: the clean segment ideally sampled at f_sample over the
+    // same wall-clock span (CS drops a trailing partial frame), then mapped
+    // into the decoder's output domain (identity for reconstructing
+    // decoders; nominal y-encode for the measurement-domain path, so SNR is
+    // scored in y-space). snr_vs_reference_db fits the gain, so scale stays
+    // free. Every lane decodes the same number of samples from the same
+    // clean segment, so one reference serves the group.
     EFF_REQUIRE(!signals.empty() && !signals.front().empty(),
                 "front-end produced no samples");
     const auto times = dsp::uniform_times(
-        decoder->reference_samples(signals.front().size()), f_sample);
-    const auto reference = decoder->reference(dsp::sample_at_times(
+        group.decoder->reference_samples(signals.front().size()), f_sample);
+    const auto reference = group.decoder->reference(dsp::sample_at_times(
         segment.waveform.samples, segment.waveform.fs, times));
 
-    SegmentResult& out = results[i];
     out.snr_db.resize(lanes);
     std::vector<const std::vector<double>*> lane_records(lanes);
     for (std::size_t k = 0; k < lanes; ++k) {
@@ -349,37 +286,55 @@ std::vector<EvalMetrics> Evaluator::evaluate_lanes(
       EFF_REQUIRE(signal.size() == signals.front().size(),
                   "lane-dependent decode length");
       out.snr_db[k] = dsp::snr_vs_reference_db(reference, signal);
-      for (double& v : signal) v *= inv_gain;  // input-referred
+      // Input-referred signal for the detector (receiver knows the gain).
+      for (double& v : signal) v *= inv_gain;
       lane_records[k] = &signal;
     }
-    // One lockstep scoring pass over the lane group: the Welch/FFT feature
-    // schedule is shared, each lane's score matches score_epochs exactly.
+    // Accuracy is epoch-level (as with the paper's window-based CNN [20]):
+    // every unambiguous 2 s epoch is one decision, scored against the
+    // generator's ground-truth discharge annotations, in one lockstep pass
+    // over the lane group.
     out.scores = detector_->score_epochs_lanes(
-        lane_records, f_sample * decoder->rate_scale(), segment.ictal);
+        lane_records, f_sample * group.decoder->rate_scale(), segment.ictal);
   };
+  const std::size_t tasks = groups.size() * limit;
   if (pool_ != nullptr) {
-    pool_->parallel_for(limit, run_segment);
+    pool_->parallel_for(tasks, run_segment);
   } else {
-    for (std::size_t i = 0; i < limit; ++i) run_segment(i);
+    for (std::size_t t = 0; t < tasks; ++t) run_segment(t);
   }
 
-  // Reduced in segment order, exactly as the scalar path accumulates.
-  for (std::size_t k = 0; k < lanes; ++k) {
-    double snr_sum = 0.0;
-    std::size_t correct = 0, scored = 0;
-    for (const SegmentResult& r : results) {
-      snr_sum += r.snr_db[k];
-      correct += r.scores[k].correct;
-      scored += r.scores[k].scored;
+  // Reduced in segment order, so the result does not depend on the pool.
+  std::vector<EvalMetrics> metrics;
+  metrics.reserve(lane_seeds.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t k = 0; k < groups[g].seeds.size(); ++k) {
+      EvalMetrics m;
+      double snr_sum = 0.0;
+      std::size_t correct = 0, scored = 0;
+      for (const SegmentResult& r : results[g]) {
+        snr_sum += r.snr_db[k];
+        correct += r.scores[k].correct;
+        scored += r.scores[k].scored;
+        if (live_power) m.power_breakdown.merge(r.power);
+      }
+      if (live_power) {
+        m.power_breakdown.scale(1.0 / static_cast<double>(limit));
+      } else {
+        m.power_breakdown = groups[g].power;
+      }
+      m.power_w = m.power_breakdown.total_watts();
+      m.area_breakdown = groups[g].area;
+      m.area_unit_caps = m.area_breakdown.total_unit_caps();
+      m.segments_evaluated = limit;
+      m.snr_db = snr_sum / static_cast<double>(limit);
+      EFF_REQUIRE(scored > 0, "no scorable epochs in the dataset");
+      m.accuracy = static_cast<double>(correct) / static_cast<double>(scored);
+      metrics.push_back(std::move(m));
     }
-    metrics[k].segments_evaluated = limit;
-    metrics[k].snr_db = snr_sum / static_cast<double>(limit);
-    EFF_REQUIRE(scored > 0, "no scorable epochs in the dataset");
-    metrics[k].accuracy =
-        static_cast<double>(correct) / static_cast<double>(scored);
   }
-  obs::counter("eval/points").inc(lanes);
-  obs::counter("eval/segments").inc(limit * lanes);
+  obs::counter("eval/points").inc(lane_seeds.size());
+  obs::counter("eval/segments").inc(limit * lane_seeds.size());
   obs::histogram("eval/point_seconds")
       .observe(std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - eval_start)

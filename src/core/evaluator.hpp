@@ -4,8 +4,9 @@
 // EEG dataset through it, decodes (CS reconstruction or pass-through), and
 // scores both goal functions of the paper — reconstruction SNR (Fig. 7a)
 // and seizure-detection accuracy (Fig. 7b) — next to the analytic power and
-// capacitor area. Architectures with signal-dependent power (LC-ADC) are
-// scored on the per-segment power reports averaged over the dataset.
+// capacitor area. One schedule serves one instance or a Monte-Carlo lane
+// group. Architectures with signal-dependent power (LC-ADC) are scored on
+// the per-segment power reports averaged over the dataset.
 
 #include <cstdint>
 #include <string>
@@ -53,37 +54,25 @@ class Evaluator {
   Evaluator(power::TechnologyParams tech, const eeg::Dataset* dataset,
             const classify::EpilepsyDetector* detector, EvalOptions options = {});
 
-  /// Score one design point.
+  /// Score one design point: lane 0 of a one-lane evaluate_lanes() with
+  /// the evaluator's seeds.
   EvalMetrics evaluate(const power::DesignParams& design) const;
 
-  /// Score K fabricated instances of one design point in lockstep through
-  /// the architecture's batched model (SoA Monte-Carlo engine): one
-  /// run_batch per segment drives all lanes, decode runs as a multi-RHS
-  /// solve per window, and out[k] is bit-identical to a scalar evaluate()
-  /// with seeds = lane_seeds[k]. With a pool (set_pool) the segments fan
-  /// out, each on a batch chain seeked to its run index; the per-segment
-  /// results are reduced in segment order, so the output does not depend
-  /// on the pool. All lanes must share the phi seed. Returns
-  /// an empty vector when the architecture has no batched path (or has
-  /// signal-dependent power) — callers then fall back to per-instance
-  /// scalar evaluation, so every registered architecture runs at any lane
-  /// width.
+  /// Score K fabricated instances of one design point (K =
+  /// lane_seeds.size() >= 1); out[k] is the score of the instance built
+  /// with seeds = lane_seeds[k], and its bits do not depend on K. A K >= 2
+  /// group runs in lockstep through the architecture's batched model (SoA
+  /// Monte-Carlo engine): one run_batch per segment drives all lanes, and
+  /// decode runs as a multi-RHS solve per window. An architecture without
+  /// a batched model, or with signal-dependent power (its report is read
+  /// per instance right after each segment), runs K one-lane groups on
+  /// build_model chains instead. With a pool (set_pool) the (group,
+  /// segment) tasks fan out, each on a chain seeked to the segment's run
+  /// index; results are reduced in segment order, so the output does not
+  /// depend on the pool. All lanes must share the phi seed.
   std::vector<EvalMetrics> evaluate_lanes(
       const power::DesignParams& design,
       const std::vector<arch::ChainSeeds>& lane_seeds) const;
-
-  /// Process one segment through an existing chain; returns the received
-  /// signal at f_sample scale (input-referred: LNA gain divided out) plus
-  /// its reconstruction SNR versus the ideally sampled clean segment.
-  struct SegmentOutcome {
-    std::vector<double> received;  ///< input-referred received signal
-    double fs = 0.0;
-    double snr_db = 0.0;
-  };
-  SegmentOutcome process_segment(sim::Model& chain,
-                                 const arch::Decoder& decoder,
-                                 const power::DesignParams& design,
-                                 const sim::Waveform& clean) const;
 
   const power::TechnologyParams& tech() const { return tech_; }
   const EvalOptions& options() const { return options_; }
@@ -98,10 +87,9 @@ class Evaluator {
   std::uint64_t config_digest() const;
   /// Replace the chain seeds (Monte-Carlo fabrication sweeps).
   void set_seeds(const arch::ChainSeeds& seeds) { options_.seeds = seeds; }
-  /// Optional pool (non-owning). evaluate_lanes() fans its segments out
-  /// over it; both evaluate() and evaluate_lanes() fan each segment's
-  /// per-window reconstructions out over it too. Results are identical to
-  /// the serial path.
+  /// Optional pool (non-owning). evaluate() and evaluate_lanes() fan their
+  /// segments, and each segment's per-window reconstructions, out over it.
+  /// Results are identical to the serial path.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:

@@ -73,32 +73,10 @@ MonteCarloResult monte_carlo(
     return seeds;
   };
 
-  const auto run_instance = [&](std::size_t i) {
-    EFFICSENSE_SPAN("mc/instance");
-    const auto start = std::chrono::steady_clock::now();
-    Evaluator local = evaluator;  // shares dataset/detector (non-owning)
-    local.set_seeds(seeds_for(i));
-    if (pool) local.set_pool(pool.get());  // nested fan-out is reentrancy-safe
-    result.instances[i] = local.evaluate(design);
-    obs::counter("mc/instances").inc();
-    instance_hist.observe(std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count());
-    done.fetch_add(1, std::memory_order_acq_rel);
-    if (progress) {
-      const std::size_t snapshot = done.load(std::memory_order_acquire);
-      std::lock_guard lock(progress_mutex);
-      if (snapshot > last_reported) {
-        last_reported = snapshot;
-        progress(snapshot, options.instances);
-      }
-    }
-  };
-
-  // Lane width of the batched SoA engine. Groups of K instances run in
-  // lockstep through one batched chain; architectures without a batched
-  // model make evaluate_lanes return empty and the group falls back to the
-  // scalar per-instance loop, so every architecture runs at any lane width.
+  // Lane width of the batched SoA engine: groups of K instances go through
+  // Evaluator::evaluate_lanes, which runs them in lockstep on a batched
+  // chain where the architecture has one and as one-lane groups otherwise,
+  // so every architecture runs at any lane width. Width 1 is a group of one.
   const std::size_t lanes_requested =
       options.lanes != 0
           ? options.lanes
@@ -117,13 +95,8 @@ MonteCarloResult monte_carlo(
     EFFICSENSE_SPAN("mc/group");
     const auto start = std::chrono::steady_clock::now();
     Evaluator local = evaluator;  // shares dataset/detector (non-owning)
-    if (pool) local.set_pool(pool.get());
+    if (pool) local.set_pool(pool.get());  // nested fan-out is reentrancy-safe
     const auto lane_metrics = local.evaluate_lanes(design, lane_seeds);
-    if (lane_metrics.empty()) {
-      // No batched path for this architecture (or a degenerate group).
-      for (std::size_t k = 0; k < count; ++k) run_instance(first + k);
-      return;
-    }
     for (std::size_t k = 0; k < count; ++k) {
       result.instances[first + k] = lane_metrics[k];
     }
@@ -145,18 +118,11 @@ MonteCarloResult monte_carlo(
     }
   };
 
-  if (lane_width > 1) {
-    const std::size_t groups =
-        (options.instances + lane_width - 1) / lane_width;
-    if (pool) {
-      pool->parallel_for(groups, run_group);
-    } else {
-      for (std::size_t g = 0; g < groups; ++g) run_group(g);
-    }
-  } else if (pool) {
-    pool->parallel_for(options.instances, run_instance);
+  const std::size_t groups = (options.instances + lane_width - 1) / lane_width;
+  if (pool) {
+    pool->parallel_for(groups, run_group);
   } else {
-    for (std::size_t i = 0; i < options.instances; ++i) run_instance(i);
+    for (std::size_t g = 0; g < groups; ++g) run_group(g);
   }
 
   std::vector<double> snrs, accs;

@@ -25,9 +25,10 @@ struct MonteCarloOptions {
   std::size_t threads = 0;
   /// SoA lane width K of the batched engine: instances are evaluated in
   /// groups of K through Evaluator::evaluate_lanes, each lane bit-identical
-  /// to its scalar instance. 1 = the scalar path; 0 = resolve from
+  /// at any K. 1 = one instance per group; 0 = resolve from
   /// EFFICSENSE_LANES (default 8). Architectures without a batched model
-  /// fall back to per-instance scalar evaluation automatically.
+  /// (or with signal-dependent power) run each group as one-lane groups
+  /// inside evaluate_lanes.
   std::size_t lanes = 0;
 };
 

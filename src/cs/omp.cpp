@@ -91,7 +91,7 @@ std::vector<OmpResult> OmpSolver::solve_multi(
     }
     obs::histogram("time/omp_alpha0").observe(seconds_since(alpha_start));
     for (std::size_t l = 0; l < ys.size(); ++l) {
-      results[l] = solve_batch_with_alpha0(ys[l], alpha0[l], /*accel=*/true);
+      results[l] = solve_batch_with_alpha0(ys[l], alpha0[l]);
     }
   } else {
     for (std::size_t l = 0; l < ys.size(); ++l) {
@@ -203,9 +203,8 @@ OmpResult OmpSolver::solve_batch(const linalg::Vector& y) const {
   return solve_batch_with_alpha0(y, alpha0);
 }
 
-OmpResult OmpSolver::solve_batch_with_alpha0(const linalg::Vector& y,
-                                             const linalg::Vector& alpha0,
-                                             bool accel) const {
+OmpResult OmpSolver::solve_batch_with_alpha0(
+    const linalg::Vector& y, const linalg::Vector& alpha0) const {
   const std::size_t k_atoms = dict_t_.rows();
 
   OmpResult out;
@@ -224,15 +223,10 @@ OmpResult OmpSolver::solve_batch_with_alpha0(const linalg::Vector& y,
 
   linalg::Vector alpha = alpha0;
 
-  std::vector<bool> in_support(k_atoms, false);
-  // Lane-path mask for the AVX2 selection kernel: 0.0 = skip (atom already
-  // in support or zero-norm), mirroring the scalar continue condition.
-  std::vector<double> live;
-  if (accel) {
-    live.resize(k_atoms);
-    for (std::size_t k = 0; k < k_atoms; ++k) {
-      live[k] = col_norm_[k] == 0.0 ? 0.0 : 1.0;
-    }
+  // Selection mask: 0.0 = skip (atom already in support or zero-norm).
+  std::vector<double> live(k_atoms);
+  for (std::size_t k = 0; k < k_atoms; ++k) {
+    live[k] = col_norm_[k] == 0.0 ? 0.0 : 1.0;
   }
   std::vector<std::size_t> support;
   support.reserve(options_.max_atoms);
@@ -242,21 +236,9 @@ OmpResult OmpSolver::solve_batch_with_alpha0(const linalg::Vector& y,
   linalg::Vector coef;
 
   for (std::size_t iter = 0; iter < options_.max_atoms; ++iter) {
-    std::size_t best = k_atoms;
     double best_score = 0.0;
-    if (accel) {
-      best = linalg::select_atom(alpha.data(), col_norm_.data(), live.data(),
-                                 k_atoms, &best_score);
-    } else {
-      for (std::size_t k = 0; k < k_atoms; ++k) {
-        if (in_support[k] || col_norm_[k] == 0.0) continue;
-        const double score = std::fabs(alpha[k]) / col_norm_[k];
-        if (score > best_score) {
-          best_score = score;
-          best = k;
-        }
-      }
-    }
+    const std::size_t best = linalg::select_atom(
+        alpha.data(), col_norm_.data(), live.data(), k_atoms, &best_score);
     if (best == k_atoms || best_score < 1e-15) break;
 
     // Cross terms come straight out of the precomputed Gram; the row read is
@@ -268,8 +250,7 @@ OmpResult OmpSolver::solve_batch_with_alpha0(const linalg::Vector& y,
     }
     if (!chol.append(cross, col_norm_[best] * col_norm_[best])) break;
 
-    in_support[best] = true;
-    if (accel) live[best] = 0.0;
+    live[best] = 0.0;
     support.push_back(best);
     dt_y.push_back(alpha0[best]);
     coef = chol.solve(dt_y);
@@ -287,17 +268,9 @@ OmpResult OmpSolver::solve_batch_with_alpha0(const linalg::Vector& y,
     if (iter + 1 < options_.max_atoms) {
       // alpha = alpha0 - G[:, S] c; columns read as rows by symmetry.
       alpha = alpha0;
-      if (accel) {
-        for (std::size_t si = 0; si < support.size(); ++si) {
-          linalg::sub_scaled(alpha.data(), gram_.row_ptr(support[si]),
-                             coef[si], k_atoms);
-        }
-      } else {
-        for (std::size_t si = 0; si < support.size(); ++si) {
-          const double c = coef[si];
-          const double* grow = gram_.row_ptr(support[si]);
-          for (std::size_t k = 0; k < k_atoms; ++k) alpha[k] -= c * grow[k];
-        }
+      for (std::size_t si = 0; si < support.size(); ++si) {
+        linalg::sub_scaled(alpha.data(), gram_.row_ptr(support[si]), coef[si],
+                           k_atoms);
       }
     }
   }

@@ -69,14 +69,13 @@ class OmpSolver {
  private:
   OmpResult solve_naive(const linalg::Vector& y) const;
   OmpResult solve_batch(const linalg::Vector& y) const;
-  /// Batch-mode support iterations for a precomputed alpha0 = A^T y.
-  /// `accel` (used by the multi-RHS lane path only) swaps the atom
-  /// selection scan and the alpha-update axpys for AVX2 kernels with the
-  /// exact scalar IEEE semantics — identical results, the single-RHS
-  /// oracle path keeps its original code.
+  /// Batch-mode support iterations for a precomputed alpha0 = A^T y. The
+  /// atom selection scan and the alpha-update axpys run the lane kernels
+  /// (linalg::select_atom / sub_scaled), whose AVX2 variants keep the
+  /// scalar loops' exact IEEE results; single- and multi-RHS solves share
+  /// this one loop.
   OmpResult solve_batch_with_alpha0(const linalg::Vector& y,
-                                    const linalg::Vector& alpha0,
-                                    bool accel = false) const;
+                                    const linalg::Vector& alpha0) const;
   /// ||y - A|_S c||, the same subtraction loop as the naive path, so both
   /// engines report bitwise-identical residuals for identical supports.
   double support_residual_norm(const linalg::Vector& y,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "cs/basis.hpp"
 #include "obs/trace.hpp"
@@ -86,20 +87,10 @@ linalg::Vector Reconstructor::reconstruct_frame(const linalg::Vector& y) const {
 
 std::vector<double> Reconstructor::reconstruct_stream(
     const std::vector<double>& measurements, ThreadPool* pool) const {
-  const std::size_t frames = measurements.size() / m_;
-  std::vector<double> out(frames * n_, 0.0);
-  const auto recover_frame = [&](std::size_t f) {
-    const linalg::Vector y(measurements.begin() + f * m_,
-                           measurements.begin() + (f + 1) * m_);
-    const linalg::Vector x = reconstruct_frame(y);
-    std::copy(x.begin(), x.end(), out.begin() + f * n_);
-  };
-  if (pool != nullptr && pool->size() > 1 && frames > 1) {
-    pool->parallel_for(frames, recover_frame);
-  } else {
-    for (std::size_t f = 0; f < frames; ++f) recover_frame(f);
-  }
-  return out;
+  return std::move(
+      reconstruct_stream_multi({measurements.data()}, measurements.size(),
+                               pool)
+          .front());
 }
 
 std::vector<std::vector<double>> Reconstructor::reconstruct_stream_multi(

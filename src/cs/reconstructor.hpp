@@ -69,9 +69,8 @@ class Reconstructor {
   linalg::Vector reconstruct_frame(const linalg::Vector& y) const;
 
   /// Recover a stream: measurements are consumed M at a time; a trailing
-  /// partial frame is ignored. Output size = full_frames * N_Phi. Frames are
-  /// independent, so a thread pool (optional) fans them out; results are
-  /// written into place and identical to the serial order.
+  /// partial frame is ignored. Output size = full_frames * N_Phi. The
+  /// one-lane case of reconstruct_stream_multi.
   std::vector<double> reconstruct_stream(
       const std::vector<double>& measurements,
       ThreadPool* pool = nullptr) const;
@@ -80,8 +79,10 @@ class Reconstructor {
   /// points at lane l's measurement stream (`length` values each, e.g. a
   /// LaneBank row). Per frame window one multi-RHS solve runs across all
   /// lanes (fused against the shared Gram for OMP, the scalar per-lane
-  /// fallback otherwise); out[l] is bit-identical to reconstruct_stream
-  /// over lane l alone.
+  /// fallback otherwise); out[l] is bit-identical to solving lane l's
+  /// frames alone. Frames are independent, so a thread pool (optional)
+  /// fans the windows out; results are written into place and identical to
+  /// the serial order.
   std::vector<std::vector<double>> reconstruct_stream_multi(
       const std::vector<const double*>& lanes, std::size_t length,
       ThreadPool* pool = nullptr) const;

@@ -110,7 +110,6 @@ __attribute__((target("avx2"))) std::size_t select_atom_avx2(
   std::size_t best = n;
   double score_best = 0.0;
   const __m256d zero = _mm256_setzero_pd();
-  const __m256d neg1 = _mm256_set1_pd(-1.0);
   const __m256d abs_mask = _mm256_castsi256_pd(
       _mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
   std::size_t k = 0;
@@ -118,16 +117,15 @@ __attribute__((target("avx2"))) std::size_t select_atom_avx2(
     const __m256d va =
         _mm256_and_pd(_mm256_loadu_pd(alpha + k), abs_mask);
     const __m256d vn = _mm256_loadu_pd(col_norm + k);
-    __m256d score = _mm256_div_pd(va, vn);
+    const __m256d score = _mm256_div_pd(va, vn);
     const __m256d ok =
         _mm256_cmp_pd(_mm256_loadu_pd(live + k), zero, _CMP_NEQ_OQ);
-    score = _mm256_blendv_pd(neg1, score, ok);
-    // Horizontal max of the block.
-    __m128d hi = _mm256_extractf128_pd(score, 1);
-    __m128d lo = _mm256_castpd256_pd128(score);
-    __m128d mx = _mm_max_pd(lo, hi);
-    mx = _mm_max_sd(mx, _mm_unpackhi_pd(mx, mx));
-    if (_mm_cvtsd_f64(mx) > score_best) {
+    // Rescan the block only when some live score beats the current best.
+    // The ordered compare is false for NaN, exactly as the scalar '>' is,
+    // so a NaN score can neither win nor hide a winner in its block.
+    const __m256d beats = _mm256_and_pd(
+        ok, _mm256_cmp_pd(score, _mm256_set1_pd(score_best), _CMP_GT_OQ));
+    if (_mm256_movemask_pd(beats) != 0) {
       for (std::size_t j = k; j < k + 4; ++j) {
         if (live[j] == 0.0) continue;
         const double s = std::fabs(alpha[j]) / col_norm[j];

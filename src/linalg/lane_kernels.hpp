@@ -47,8 +47,9 @@ void gram_rows(const double* w, std::size_t rows, std::size_t stride,
 /// strict '>' updates, skipping entries with live[k] == 0.0. Returns n
 /// when nothing scores above zero; writes the winning score to
 /// *best_score (left at 0.0 otherwise). Matches the scalar OMP atom
-/// selection loop exactly: the vector path only prefilters blocks whose
-/// maximum cannot beat the current best, then rescans in scalar order.
+/// selection loop exactly, NaN scores included (they never win): the
+/// vector path only skips 4-blocks in which no live score beats the
+/// current best, and rescans the others in scalar order.
 std::size_t select_atom(const double* alpha, const double* col_norm,
                         const double* live, std::size_t n,
                         double* best_score);

@@ -16,10 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
-
-#include "sim/waveform.hpp"
 
 namespace efficsense::sim {
 
@@ -29,18 +26,8 @@ class WaveformArena {
   /// buffer whose capacity already fits n; falls back to the largest one.
   std::vector<double> acquire(std::size_t n);
 
-  /// A waveform wrapping an acquired buffer (fs tagged by the caller).
-  Waveform acquire_waveform(double fs, std::size_t n) {
-    Waveform w;
-    w.fs = fs;
-    w.samples = acquire(n);
-    return w;
-  }
-
   /// Donate a buffer's storage to the pool.
   void release(std::vector<double>&& buf);
-  /// Donate a waveform's storage to the pool.
-  void release(Waveform&& w) { release(std::move(w.samples)); }
 
   /// Number of buffers currently pooled.
   std::size_t pooled_buffers() const { return pool_.size(); }

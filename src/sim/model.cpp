@@ -166,7 +166,7 @@ void Model::ensure_plan() {
 
 std::vector<Waveform> Model::run() {
   EFFICSENSE_SPAN("sim/run");
-  execute(1, /*batch=*/false);
+  execute(1);
   std::vector<Waveform> model_outputs;
   model_outputs.reserve(model_output_slots_.size());
   for (const std::size_t slot : model_output_slots_) {
@@ -178,7 +178,7 @@ std::vector<Waveform> Model::run() {
 std::vector<const LaneBank*> Model::run_batch(std::size_t lanes) {
   EFF_REQUIRE(lanes >= 1, "run_batch needs at least one lane");
   EFFICSENSE_SPAN("sim/run_batch");
-  execute(lanes, /*batch=*/true);
+  execute(lanes);
   std::vector<const LaneBank*> model_outputs;
   model_outputs.reserve(model_output_slots_.size());
   for (const std::size_t slot : model_output_slots_) {
@@ -187,7 +187,7 @@ std::vector<const LaneBank*> Model::run_batch(std::size_t lanes) {
   return model_outputs;
 }
 
-void Model::execute(std::size_t lanes, bool batch) {
+void Model::execute(std::size_t lanes) {
   using clock = std::chrono::steady_clock;
   const auto run_start = clock::now();
   ensure_plan();
@@ -202,13 +202,9 @@ void Model::execute(std::size_t lanes, bool batch) {
   for (auto& bank : bank_slots_) bank.release_to(arena_);
   bank_slots_written_ = 0;
 
-  if (batch) {
-    obs::counter("sim/batch_runs").inc();
-    obs::counter("sim/lanes_active").inc(lanes);
-  }
-  obs::Histogram& step_hist =
-      obs::histogram(batch ? "time/batch_block_run" : "time/block_run");
-  const char* span_prefix = batch ? "batch_block/" : "block/";
+  obs::counter("sim/batch_runs").inc();
+  obs::counter("sim/lanes_active").inc(lanes);
+  obs::Histogram& step_hist = obs::histogram("time/block_run");
   std::vector<const LaneBank*> inputs;
   std::vector<LaneBank> outputs;
   for (const StepPlan& step : plan_) {
@@ -219,7 +215,7 @@ void Model::execute(std::size_t lanes, bool batch) {
     }
     outputs.clear();
     b.seek_run(run_);
-    obs::Span span(span_prefix, b.name());
+    obs::Span span("block/", b.name());
     const auto block_start = clock::now();
     b.process_batch(lanes, inputs, outputs, arena_);
     const double seconds =

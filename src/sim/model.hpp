@@ -157,9 +157,10 @@ class Model {
 
   /// Rebuild the schedule/routing cache if wiring changed since last run.
   void ensure_plan();
-  /// Walk the plan once at `lanes` lanes; `batch` selects run_batch()'s
-  /// metric names over run()'s.
-  void execute(std::size_t lanes, bool batch);
+  /// Walk the plan once at `lanes` lanes. Every run records the same
+  /// metrics: sim/batch_runs, sim/lanes_active, time/block_run and
+  /// time/block/<name>, under block/<name> spans.
+  void execute(std::size_t lanes);
 
   std::vector<BlockPtr> blocks_;
   std::map<std::string, BlockId> by_name_;

@@ -431,7 +431,7 @@ TEST(BatchEquivalence, LaneSeedingIndependentOfLaneWidth) {
 
 TEST(BatchEquivalence, UnbatchedArchitecturesDeclineGracefully) {
   // cs_active and lc_adc have no batched model yet: build_batch_model must
-  // return nullptr so callers fall back to per-instance scalar evaluation.
+  // return nullptr so the evaluator runs their lanes as one-lane groups.
   const power::TechnologyParams tech;
   const auto seeds = mc_lane_seeds(2, false);
   EXPECT_EQ(ArchRegistry::instance().get("cs_active").build_batch_model(
@@ -476,6 +476,18 @@ TEST(BatchEquivalence, EvaluateLanesMatchesScalarEvaluate) {
               std::bit_cast<std::uint64_t>(m.power_w));
     EXPECT_EQ(lanes[k].segments_evaluated, m.segments_evaluated);
   }
-  // Fewer than two lanes is not a batch: the scalar path covers it.
-  EXPECT_TRUE(eval.evaluate_lanes(d, mc_lane_seeds(1, false)).empty());
+  // K=1 is a group of one: it equals evaluate() with that lane's seeds.
+  const auto one = mc_lane_seeds(1, false);
+  const auto single = eval.evaluate_lanes(d, one);
+  ASSERT_EQ(single.size(), 1u);
+  core::Evaluator local = eval;
+  local.set_seeds(one.front());
+  const auto m = local.evaluate(d);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(single[0].snr_db),
+            std::bit_cast<std::uint64_t>(m.snr_db));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(single[0].accuracy),
+            std::bit_cast<std::uint64_t>(m.accuracy));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(single[0].power_w),
+            std::bit_cast<std::uint64_t>(m.power_w));
+  EXPECT_EQ(single[0].segments_evaluated, m.segments_evaluated);
 }

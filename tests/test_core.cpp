@@ -422,45 +422,57 @@ power::DesignParams pooled_design(int cs_m, power::CsStyle style) {
 
 TEST(PooledLanes, EvaluateLanesInvariantToPoolSize) {
   const auto& w = pool_world();
-  std::vector<ChainSeeds> lane_seeds(3);
-  for (std::size_t k = 0; k < lane_seeds.size(); ++k) {
-    lane_seeds[k].mismatch = derive_seed(0xFAB, 2 * k);
-    lane_seeds[k].noise = derive_seed(0xFAB, 2 * k + 1);
+  std::vector<ChainSeeds> three(3);
+  for (std::size_t k = 0; k < three.size(); ++k) {
+    three[k].mismatch = derive_seed(0xFAB, 2 * k);
+    three[k].noise = derive_seed(0xFAB, 2 * k + 1);
   }
+  std::vector<ChainSeeds> one(three.begin(), three.begin() + 1);
+  // cs_active has no batched model and lc_adc has signal-dependent power:
+  // both run as one-lane groups, one group per lane.
   const struct {
     const char* id;
     power::DesignParams design;
+    bool one_lane_groups;
   } cases[] = {
-      {"baseline", pooled_design(0, power::CsStyle::PassiveCharge)},
-      {"cs_passive", pooled_design(75, power::CsStyle::PassiveCharge)},
-      {"cs_digital", pooled_design(75, power::CsStyle::DigitalMac)},
+      {"baseline", pooled_design(0, power::CsStyle::PassiveCharge), false},
+      {"cs_passive", pooled_design(75, power::CsStyle::PassiveCharge), false},
+      {"cs_digital", pooled_design(75, power::CsStyle::DigitalMac), false},
+      {"cs_active", pooled_design(75, power::CsStyle::ActiveIntegrator), true},
+      {"lc_adc", pooled_design(0, power::CsStyle::PassiveCharge), true},
   };
   ThreadPool pool1(1), pool2(2), pool4(4);
-  auto& builds = obs::counter("eval/batch_chain_builds");
+  auto& builds = obs::counter("eval/chain_builds");
   for (const auto& c : cases) {
-    for (const std::size_t max_segments :
-         {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
-      EvalOptions opts;
-      opts.max_segments = max_segments;
-      opts.architecture = c.id;
-      const Evaluator serial(w.tech, &w.dataset, &w.detector, opts);
-      const auto oracle = serial.evaluate_lanes(c.design, lane_seeds);
-      ASSERT_EQ(oracle.size(), lane_seeds.size()) << c.id;
-      for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
-        Evaluator pooled = serial;
-        pooled.set_pool(pool);
-        const auto before = builds.value();
-        const auto got = pooled.evaluate_lanes(c.design, lane_seeds);
-        // The chain free-list holds at most one chain per executor: the
-        // pool's workers plus the calling thread.
-        EXPECT_LE(builds.value() - before, pool->size() + 1) << c.id;
-        ASSERT_EQ(got.size(), oracle.size());
-        for (std::size_t k = 0; k < got.size(); ++k) {
-          expect_bitwise_equal(got[k], oracle[k],
-                               std::string(c.id) + " max_segments=" +
-                                   std::to_string(max_segments) + " pool=" +
-                                   std::to_string(pool->size()) + " lane " +
-                                   std::to_string(k));
+    for (const auto* lane_seeds : {&three, &one}) {
+      for (const std::size_t max_segments :
+           {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
+        EvalOptions opts;
+        opts.max_segments = max_segments;
+        opts.architecture = c.id;
+        const Evaluator serial(w.tech, &w.dataset, &w.detector, opts);
+        const auto oracle = serial.evaluate_lanes(c.design, *lane_seeds);
+        ASSERT_EQ(oracle.size(), lane_seeds->size()) << c.id;
+        const std::size_t groups =
+            c.one_lane_groups ? lane_seeds->size() : std::size_t{1};
+        for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+          Evaluator pooled = serial;
+          pooled.set_pool(pool);
+          const auto before = builds.value();
+          const auto got = pooled.evaluate_lanes(c.design, *lane_seeds);
+          // Each group's chain free-list holds at most one chain per
+          // executor: the pool's workers plus the calling thread.
+          EXPECT_LE(builds.value() - before, groups * (pool->size() + 1))
+              << c.id;
+          ASSERT_EQ(got.size(), oracle.size());
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            expect_bitwise_equal(
+                got[k], oracle[k],
+                std::string(c.id) + " K=" + std::to_string(got.size()) +
+                    " max_segments=" + std::to_string(max_segments) +
+                    " pool=" + std::to_string(pool->size()) + " lane " +
+                    std::to_string(k));
+          }
         }
       }
     }
@@ -499,5 +511,53 @@ TEST(PooledLanes, MonteCarloInvariantOverThreadsAndLanes) {
       EXPECT_EQ(bits(got.yield), bits(oracle.yield)) << where;
       EXPECT_EQ(bits(got.snr_db.mean), bits(oracle.snr_db.mean)) << where;
     }
+  }
+}
+
+// evaluate() of the architecture without a batched model (cs_active) and
+// the one with signal-dependent power (lc_adc), pinned bit for bit. The
+// values were recorded from a serial segment loop on one scalar chain, so
+// they hold the one-lane-group schedule to it; LC-ADC power must be read
+// per segment right after that segment's run and averaged in segment
+// order to match.
+TEST(EvaluateGolden, RoutedArchitecturesMatchPinnedBits) {
+  const auto& w = pool_world();
+  power::DesignParams noisy_active =
+      pooled_design(150, power::CsStyle::ActiveIntegrator);
+  noisy_active.lna_noise_vrms = 20e-6;
+  power::DesignParams coarse_lc = pooled_design(0, power::CsStyle::PassiveCharge);
+  coarse_lc.adc_bits = 5;
+  coarse_lc.lna_noise_vrms = 20e-6;
+  ChainSeeds drawn;
+  drawn.mismatch = derive_seed(0xFAB, 6);
+  drawn.noise = derive_seed(0xFAB, 7);
+  const struct {
+    const char* id;
+    power::DesignParams design;
+    ChainSeeds seeds;
+    std::uint64_t snr, accuracy, power, area;
+  } cases[] = {
+      {"cs_active", pooled_design(75, power::CsStyle::ActiveIntegrator), {},
+       0x40224fae3279f861, 0x3ff0000000000000, 0x3ec1ed3f031e83b5,
+       0x40f26f2000000000},
+      {"cs_active", noisy_active, drawn, 0x4019c9db452b95d0,
+       0x3fee79e79e79e79e, 0x3ec7d7071a272a92, 0x41025f5000000000},
+      {"lc_adc", pooled_design(0, power::CsStyle::PassiveCharge), {},
+       0x40354d0b9f9e5298, 0x3ff0000000000000, 0x3edcdd3f1025b681,
+       0x4070000000000000},
+      {"lc_adc", coarse_lc, drawn, 0x401129ae09099ea7, 0x3fef3cf3cf3cf3cf,
+       0x3ea47184b7739106, 0x4040000000000000},
+  };
+  for (const auto& c : cases) {
+    EvalOptions opts;
+    opts.architecture = c.id;
+    opts.seeds = c.seeds;
+    const Evaluator eval(w.tech, &w.dataset, &w.detector, opts);
+    const auto m = eval.evaluate(c.design);
+    EXPECT_EQ(m.segments_evaluated, w.dataset.segments.size()) << c.id;
+    EXPECT_EQ(bits(m.snr_db), c.snr) << c.id;
+    EXPECT_EQ(bits(m.accuracy), c.accuracy) << c.id;
+    EXPECT_EQ(bits(m.power_w), c.power) << c.id;
+    EXPECT_EQ(bits(m.area_unit_caps), c.area) << c.id;
   }
 }

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "linalg/decompositions.hpp"
+#include "linalg/lane_kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -423,6 +427,176 @@ TEST(Matrix, BlockedMatmulMatchesNaiveTripleLoop) {
         for (std::size_t kk = 0; kk < k; ++kk) sum += a(i, kk) * b(kk, j);
         EXPECT_NEAR(c(i, j), sum, 1e-12 * (1.0 + std::fabs(sum)));
       }
+    }
+  }
+}
+
+// The lane kernels promise the scalar loop's exact IEEE results (the AVX2
+// variants vectorize across independent values only), so they are checked
+// bitwise against plain scalar loops. Single-RHS Batch-OMP runs these
+// kernels, so these loops are the reference its atom selection and
+// correlation update are held to.
+namespace {
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The OMP atom-selection loop: first k with the largest fabs(alpha[k]) /
+/// col_norm[k] under strict '>', skipping live[k] == 0.0.
+std::size_t select_atom_reference(const Vector& alpha, const Vector& norm,
+                                  const Vector& live, double* best_score) {
+  std::size_t best = alpha.size();
+  double score_best = 0.0;
+  for (std::size_t k = 0; k < alpha.size(); ++k) {
+    if (live[k] == 0.0) continue;
+    const double s = std::fabs(alpha[k]) / norm[k];
+    if (s > score_best) {
+      score_best = s;
+      best = k;
+    }
+  }
+  *best_score = score_best;
+  return best;
+}
+
+void expect_select_atom_matches(const Vector& alpha, const Vector& norm,
+                                const Vector& live, const std::string& where) {
+  double want_score = -1.0, got_score = -1.0;
+  const std::size_t want =
+      select_atom_reference(alpha, norm, live, &want_score);
+  const std::size_t got = linalg::select_atom(
+      alpha.data(), norm.data(), live.data(), alpha.size(), &got_score);
+  EXPECT_EQ(got, want) << where;
+  EXPECT_EQ(bits_of(got_score), bits_of(want_score)) << where;
+}
+
+}  // namespace
+
+TEST(LaneKernels, DotLanesMatchesScalarLoopBitwise) {
+  for (std::size_t lanes = 1; lanes <= 9; ++lanes) {
+    for (const std::size_t n : {1, 3, 4, 5, 7, 8, 13, 75}) {
+      const auto a = random_vector(n, 100 + n);
+      const auto xt = random_vector(n * lanes, 200 + 10 * n + lanes);
+      Vector out(lanes, -1.0);
+      linalg::dot_lanes(a.data(), xt.data(), n, lanes, out.data());
+      for (std::size_t l = 0; l < lanes; ++l) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < n; ++i) sum += a[i] * xt[i * lanes + l];
+        EXPECT_EQ(bits_of(out[l]), bits_of(sum))
+            << "lanes=" << lanes << " n=" << n << " lane " << l;
+      }
+    }
+  }
+}
+
+TEST(LaneKernels, SubScaledMatchesScalarLoopBitwise) {
+  for (std::size_t n = 0; n <= 13; ++n) {
+    for (const double c : {0.7345, -3.0e-9, 0.0}) {
+      const auto r = random_vector(n, 300 + n);
+      Vector a = random_vector(n, 400 + n);
+      Vector want = a;
+      for (std::size_t k = 0; k < n; ++k) want[k] -= c * r[k];
+      linalg::sub_scaled(a.data(), r.data(), c, n);
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(bits_of(a[k]), bits_of(want[k])) << "n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(LaneKernels, SelectAtomMatchesScalarScanOnRandomInput) {
+  for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 9, 13, 75, 326}) {
+    const auto alpha = random_vector(n, 500 + n);
+    Vector norm = random_vector(n, 600 + n);
+    for (double& v : norm) v = std::fabs(v) + 0.1;
+    Vector live(n, 1.0);
+    expect_select_atom_matches(alpha, norm, live, "n=" + std::to_string(n));
+    // Knock out the winner repeatedly, as OMP does across iterations.
+    for (std::size_t iter = 0; iter < std::min<std::size_t>(n, 6); ++iter) {
+      double score = 0.0;
+      const std::size_t best =
+          linalg::select_atom(alpha.data(), norm.data(), live.data(), n,
+                              &score);
+      ASSERT_LT(best, n);
+      live[best] = 0.0;
+      expect_select_atom_matches(alpha, norm, live,
+                                 "n=" + std::to_string(n) + " after " +
+                                     std::to_string(iter + 1) + " picks");
+    }
+  }
+}
+
+TEST(LaneKernels, SelectAtomKeepsTheFirstOfTiedWinners) {
+  // Equal quotients from different (alpha, norm) pairs, within one 4-block
+  // and across blocks: the lowest index must win.
+  const std::size_t n = 11;
+  Vector alpha(n, 0.25), norm(n, 1.0), live(n, 1.0);
+  alpha[6] = -2.0;  // 2 / 2 == 1
+  norm[6] = 2.0;
+  alpha[3] = 1.0;   // first winner, block 0
+  alpha[1] = 0.5;
+  alpha[9] = 3.0;   // 3 / 3, block 2
+  norm[9] = 3.0;
+  expect_select_atom_matches(alpha, norm, live, "ties across blocks");
+  double score = 0.0;
+  EXPECT_EQ(linalg::select_atom(alpha.data(), norm.data(), live.data(), n,
+                                &score),
+            3u);
+  EXPECT_EQ(score, 1.0);
+  live[3] = 0.0;
+  expect_select_atom_matches(alpha, norm, live, "next tie");
+  EXPECT_EQ(linalg::select_atom(alpha.data(), norm.data(), live.data(), n,
+                                &score),
+            6u);
+  // Every entry tied: the first live one wins.
+  const Vector flat(n, -0.5), ones(n, 1.0);
+  Vector some_live(n, 1.0);
+  some_live[0] = some_live[1] = 0.0;
+  expect_select_atom_matches(flat, ones, some_live, "all tied");
+}
+
+TEST(LaneKernels, SelectAtomSkipsDeadAndZeroNormAtoms) {
+  const std::size_t n = 10;
+  Vector alpha = random_vector(n, 700);
+  Vector norm(n, 1.0), live(n, 1.0);
+  // A zero-norm atom is never live (OMP masks it): its 0/0 or x/0 quotient
+  // must not win, whatever its alpha.
+  alpha[2] = 0.0;
+  norm[2] = 0.0;
+  live[2] = 0.0;
+  alpha[5] = 1e9;
+  norm[5] = 0.0;
+  live[5] = 0.0;
+  expect_select_atom_matches(alpha, norm, live, "zero-norm atoms");
+  // Nothing live: n is returned and the score stays 0.
+  const Vector none(n, 0.0);
+  double score = -1.0;
+  EXPECT_EQ(linalg::select_atom(alpha.data(), norm.data(), none.data(), n,
+                                &score),
+            n);
+  EXPECT_EQ(bits_of(score), bits_of(0.0));
+  // Nothing scores above zero (alpha == 0, including -0.0).
+  Vector zero(n, 0.0);
+  zero[7] = -0.0;
+  const Vector all_live(n, 1.0), unit(n, 1.0);
+  EXPECT_EQ(linalg::select_atom(zero.data(), unit.data(), all_live.data(), n,
+                                &score),
+            n);
+  expect_select_atom_matches(zero, unit, all_live, "all-zero alpha");
+}
+
+TEST(LaneKernels, SelectAtomIgnoresNaNScoresLikeTheScalarScan) {
+  // A NaN quotient never wins a strict '>' comparison; it must not hide a
+  // winner that shares its 4-block either, wherever it sits in the block.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t pos = 0; pos < 8; ++pos) {
+    for (std::size_t win = 0; win < 8; ++win) {
+      if (win == pos) continue;
+      Vector alpha(9, 0.125), norm(9, 1.0), live(9, 1.0);
+      alpha[pos] = nan;
+      alpha[win] = 4.0;
+      expect_select_atom_matches(alpha, norm, live,
+                                 "NaN at " + std::to_string(pos) +
+                                     ", winner at " + std::to_string(win));
     }
   }
 }

@@ -12,8 +12,11 @@
 #include <fstream>
 #include <thread>
 
+#include "classify/detector.hpp"
 #include "core/design_space.hpp"
+#include "core/evaluator.hpp"
 #include "core/sweep.hpp"
+#include "eeg/dataset.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sidecar.hpp"
 #include "run/durable.hpp"
@@ -718,6 +721,45 @@ TEST(DurableSweeper, WritesProvenanceEventsAlongsideRecords) {
   const auto after = read_journal(path);
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->events.size(), space.size());
+}
+
+TEST(DurableSweeper, ProvenanceReportsEvaluatorStageTime) {
+  // The events split each point's time across the sim, decode and detect
+  // stages by reading the stage histograms the evaluator's schedule
+  // records; a real evaluation must show up in each of them.
+  const eeg::Generator gen{eeg::GeneratorConfig{}};
+  const auto dataset = eeg::make_dataset(gen, 1, 1, 11);
+  classify::DetectorConfig cfg;
+  cfg.train.epochs = 10;
+  const auto detector =
+      classify::EpilepsyDetector::train(eeg::make_dataset(gen, 4, 4, 22), cfg);
+  EvalOptions eo;
+  eo.max_segments = 2;
+  const Evaluator evaluator(power::TechnologyParams{}, &dataset, &detector,
+                            eo);
+
+  TempDir tmp;
+  const auto path = tmp.path("j.jsonl");
+  DesignSpace space;
+  space.add_axis("cs_m", {0, 75});
+  power::DesignParams base;
+  const DurableSweeper sweeper(
+      [&](const power::DesignParams& d) { return evaluator.evaluate(d); },
+      options_with(path, evaluator.config_digest()));
+  (void)sweeper.run(base, space);
+
+  const auto contents = read_journal(path);
+  ASSERT_TRUE(contents.has_value());
+  ASSERT_EQ(contents->events.size(), space.size());
+  for (const auto& ev : contents->events) {
+    EXPECT_EQ(ev.status, PointStatus::Ok);
+    EXPECT_GT(ev.block_sim_s, 0.0) << "point " << ev.index;
+    EXPECT_GT(ev.detect_s, 0.0) << "point " << ev.index;
+  }
+  // Only the CS point (cs_m = 75) reconstructs.
+  std::size_t decoded = 0;
+  for (const auto& ev : contents->events) decoded += ev.decode_s > 0.0;
+  EXPECT_EQ(decoded, 1u);
 }
 
 TEST(DurableSweeper, EventRecordingCanBeDisabled) {
