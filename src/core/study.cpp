@@ -101,8 +101,7 @@ classify::EpilepsyDetector Study::train_or_load_detector(
   return detector;
 }
 
-StudyResult Study::run(const std::function<void(const std::string&)>& log,
-                       const SweepExec& exec) {
+StudyResult Study::run(const std::function<void(const std::string&)>& log) {
   EFFICSENSE_SPAN("study/run");
   StudyResult result;
   result.config = config_;
@@ -191,26 +190,15 @@ StudyResult Study::run(const std::function<void(const std::string&)>& log,
   ThreadPool pool(static_cast<std::size_t>(
       std::max<std::int64_t>(0, env_int("EFFICSENSE_THREADS", 0))));
 
-  auto execute = [&](const power::DesignParams& base, const DesignSpace& space,
-                     const char* name) {
-    if (exec) return exec(evaluator, base, space, name, &pool, progress(name));
-    return sweeper.run(base, space, &pool, progress(name));
-  };
-
   if (log) log("sweep baseline: " + format_number(double(baseline_space.size())) + " points");
-  result.baseline = execute(result.base_baseline, baseline_space, "baseline");
+  result.baseline = sweeper.run(result.base_baseline, baseline_space, &pool,
+                                progress("baseline"));
 
   if (log) log("sweep CS: " + format_number(double(cs_space.size())) + " points");
-  result.cs = execute(result.base_cs, cs_space, "cs");
+  result.cs = sweeper.run(result.base_cs, cs_space, &pool, progress("cs"));
 
-  // A sharded or quarantine-shrunk sweep (custom exec) is a partial view;
-  // caching it would shadow the complete one for every later bench.
-  if (result.baseline.size() == baseline_space.size() &&
-      result.cs.size() == cs_space.size()) {
-    cache_.store(key_base, sweep_to_csv(result.baseline));
-    cache_.store(key_cs, sweep_to_csv(result.cs));
-  }
-
+  cache_.store(key_base, sweep_to_csv(result.baseline));
+  cache_.store(key_cs, sweep_to_csv(result.cs));
   return result;
 }
 

@@ -59,26 +59,13 @@ enum class Merit { Snr, Accuracy };
 std::vector<Candidate> make_candidates(const std::vector<SweepResult>& results,
                                        Merit merit);
 
-/// Pluggable sweep executor: the durable run layer (src/run) injects
-/// journaling and sharding here without core depending on it. Receives the
-/// evaluator, the base design, the space, a short sweep name ("baseline" /
-/// "cs"), the pool and the progress callback, and returns the results in
-/// enumeration order (a sharded executor returns only its slice; the study
-/// then skips caching the partial sweep).
-using SweepExec = std::function<std::vector<SweepResult>(
-    const Evaluator&, const power::DesignParams&, const DesignSpace&,
-    const std::string&, ThreadPool*,
-    const std::function<void(std::size_t, std::size_t)>&)>;
-
 class Study {
  public:
   explicit Study(StudyConfig config = StudyConfig::from_env());
 
   /// Run (or load from cache) the full study. `log` receives progress
-  /// lines. `exec` (optional) replaces the default Sweeper::run execution
-  /// of each sweep (see SweepExec).
-  StudyResult run(const std::function<void(const std::string&)>& log = {},
-                  const SweepExec& exec = {});
+  /// lines.
+  StudyResult run(const std::function<void(const std::string&)>& log = {});
 
   /// The trained detector (available after run()).
   const classify::EpilepsyDetector& detector() const;

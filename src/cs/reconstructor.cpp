@@ -1,15 +1,34 @@
 #include "cs/reconstructor.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <utility>
 
 #include "cs/basis.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace efficsense::cs {
+
+namespace {
+
+/// Solve through `solve` and observe its wall time on time/decode: the one
+/// decode instrument every reconstructing solver reports to.
+template <class Solve>
+auto timed_decode(Solve&& solve) {
+  const auto start = std::chrono::steady_clock::now();
+  auto out = solve();
+  obs::histogram("time/decode")
+      .observe(std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count());
+  return out;
+}
+
+}  // namespace
 
 Reconstructor::Reconstructor(const SparseBinaryMatrix& phi,
                              ChargeSharingGains gains,
@@ -82,7 +101,7 @@ linalg::Vector Reconstructor::synthesize(const SparseSolution& sol) const {
 
 linalg::Vector Reconstructor::reconstruct_frame(const linalg::Vector& y) const {
   EFF_REQUIRE(y.size() == m_, "measurement frame has wrong size");
-  return synthesize(prepared_->solve(y));
+  return synthesize(timed_decode([&] { return prepared_->solve(y); }));
 }
 
 std::vector<double> Reconstructor::reconstruct_stream(
@@ -111,7 +130,8 @@ std::vector<std::vector<double>> Reconstructor::reconstruct_stream_multi(
     for (std::size_t l = 0; l < n_lanes; ++l) {
       ys[l].assign(lanes[l] + f * m_, lanes[l] + (f + 1) * m_);
     }
-    const std::vector<SparseSolution> results = prepared_->solve_multi(ys);
+    const std::vector<SparseSolution> results =
+        timed_decode([&] { return prepared_->solve_multi(ys); });
     for (std::size_t l = 0; l < n_lanes; ++l) {
       const linalg::Vector x = synthesize(results[l]);
       std::copy(x.begin(), x.end(), out[l].begin() + f * n_);

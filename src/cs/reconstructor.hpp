@@ -8,7 +8,8 @@
 // the registered solver's prepare() so per-dictionary state (OMP's Gram,
 // AMP's column normalization) is built exactly once per Reconstructor.
 // Solvers come from cs::SolverRegistry — see cs/solver.hpp for the
-// registered ids and the registration contract.
+// registered ids and the registration contract. Every solve is timed on the
+// solver-agnostic time/decode histogram (the sweep's "decode" stage).
 
 #include <cstddef>
 #include <memory>

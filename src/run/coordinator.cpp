@@ -83,10 +83,8 @@ CoordinatorOutcome Coordinator::run(const DurableSweeper::Progress& progress) {
 
   TelemetryState telemetry;
   telemetry.configure(header, total, paths.merged);
-  const double status_interval = options_.status_interval_s > 0.0
-                                     ? options_.status_interval_s
-                                     : status_interval_s_from_env();
-  StatusWriter status(paths.coordinator_status, status_interval, &telemetry);
+  StatusWriter status(paths.coordinator_status, options_.status_interval_s,
+                      &telemetry);
 
   auto& granted_counter = obs::counter("run/leases_granted");
   auto& stolen_counter = obs::counter("run/leases_stolen");

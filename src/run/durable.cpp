@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
-
-#include <chrono>
-#include <map>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -134,6 +134,108 @@ JournalHeader make_header(const RunOptions& options,
   return h;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+SettledPoint settle_point(const DurableSweeper::EvalFn& eval,
+                          const power::DesignParams& base,
+                          const core::DesignSpace& space, std::uint64_t index,
+                          std::uint32_t max_attempts, double timeout_s,
+                          std::chrono::steady_clock::time_point run_start,
+                          double queued_at_s) {
+  EFFICSENSE_SPAN("run/point");
+  max_attempts = std::max<std::uint32_t>(1, max_attempts);
+  SettledPoint out;
+  out.result.point = space.point(index);
+  out.result.design = core::apply_point(base, out.result.point);
+  JournalRecord& rec = out.record;
+  rec.index = index;
+  rec.point_hash = core::hash_point(out.result.point);
+  PointEvent& ev = out.event;
+  ev.index = index;
+  ev.t_queue_s = queued_at_s;
+  ev.t_eval_start_s = seconds_since(run_start);
+  // Sum deltas around the evaluation are exact single-threaded and an
+  // overlap-inflated approximation under a thread pool (see PointEvent).
+  double stage_start[std::size(kEvalStages)];
+  for (std::size_t i = 0; i < std::size(kEvalStages); ++i) {
+    stage_start[i] = obs::histogram(kEvalStages[i].histogram).sum();
+  }
+
+  bool ok = false;
+  std::string error;
+  std::uint32_t attempt = 1;
+  for (;; ++attempt) {
+    auto res = eval_once(eval, out.result.design, timeout_s);
+    if (res.ok) {
+      ok = true;
+      out.result.metrics = std::move(res.metrics);
+      break;
+    }
+    error = std::move(res.error);
+    if (res.timed_out || attempt >= max_attempts) break;
+    obs::counter("run/points_retried").inc();
+    EFFICSENSE_LOG_WARN("point evaluation failed; retrying",
+                        {{"index", obs::logv(index)},
+                         {"attempt", obs::logv(attempt)},
+                         {"error", error}});
+  }
+
+  ev.t_eval_end_s = seconds_since(run_start);
+  for (std::size_t i = 0; i < std::size(kEvalStages); ++i) {
+    ev.*kEvalStages[i].seconds = std::max(
+        0.0, obs::histogram(kEvalStages[i].histogram).sum() - stage_start[i]);
+  }
+  ev.attempts = rec.attempts = attempt;
+  ev.status = rec.status = ok ? PointStatus::Ok : PointStatus::Quarantined;
+  ev.cause = error;  // empty on a clean first-attempt success
+  obs::histogram("run/point_eval_s").observe(ev.eval_s());
+  if (ok) {
+    rec.payload = core::sweep_result_to_row(out.result);
+    obs::counter("run/points_evaluated").inc();
+  } else {
+    rec.payload = std::move(error);
+    obs::counter("run/points_quarantined").inc();
+    EFFICSENSE_LOG_WARN("point quarantined",
+                        {{"index", obs::logv(index)},
+                         {"attempts", obs::logv(attempt)},
+                         {"error", rec.payload}});
+  }
+  return out;
+}
+
+OpenedJournal open_journal(const std::string& path, const JournalHeader& header,
+                           const core::DesignSpace& space) {
+  auto existing = read_journal(path);
+  if (!existing) return {{}, JournalWriter::create(path, header)};
+  EFF_REQUIRE(existing->header.compatible_with(header) &&
+                  existing->header.shard.index == header.shard.index &&
+                  existing->header.shard.count == header.shard.count,
+              "journal " + path +
+                  " was written under a different configuration; refusing "
+                  "to resume (delete it to start fresh)");
+  std::vector<JournalRecord> records;
+  std::vector<char> seen(header.total_points, 0);
+  for (auto& rec : existing->records) {
+    EFF_REQUIRE(rec.index < header.total_points && header.shard.owns(rec.index),
+                "journal record outside this shard's slice; refusing to "
+                "resume: " + path);
+    EFF_REQUIRE(rec.point_hash == core::hash_point(space.point(rec.index)),
+                "journal point hash does not match the design space; "
+                "refusing to resume: " + path);
+    if (seen[rec.index]) continue;  // duplicate record: first wins
+    seen[rec.index] = 1;
+    records.push_back(std::move(rec));
+  }
+  EFFICSENSE_LOG_INFO("resuming sweep from journal",
+                      {{"path", path}, {"resumed", obs::logv(records.size())}});
+  return {std::move(records),
+          JournalWriter::resume(path, existing->valid_bytes)};
+}
+
 RunOutcome DurableSweeper::run(const power::DesignParams& base,
                                const core::DesignSpace& space,
                                ThreadPool* pool,
@@ -141,8 +243,6 @@ RunOutcome DurableSweeper::run(const power::DesignParams& base,
   EFFICSENSE_SPAN("run/sweep");
   const std::size_t total = space.size();
   const Shard shard = options_.shard;
-  const std::uint32_t max_attempts = std::max<std::uint32_t>(
-      1, options_.max_attempts);
   const JournalHeader header = make_header(options_, base, space);
 
   std::vector<std::uint64_t> owned;
@@ -158,11 +258,6 @@ RunOutcome DurableSweeper::run(const power::DesignParams& base,
   }
 
   const auto run_start = std::chrono::steady_clock::now();
-  const auto elapsed_s = [run_start] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         run_start)
-        .count();
-  };
   TelemetryState telemetry;
   telemetry.configure(header, owned.size(), options_.journal_path);
 
@@ -171,47 +266,24 @@ RunOutcome DurableSweeper::run(const power::DesignParams& base,
   std::vector<QuarantinedPoint> quarantined;
   std::vector<char> settled(total, 0);
 
-  // Resume: adopt every valid journal record, refusing journals written
-  // under a different configuration, space, shard or point hashing.
+  // Resume: adopt every record of an existing journal.
   std::optional<JournalWriter> writer;
   if (!options_.journal_path.empty()) {
-    if (auto existing = read_journal(options_.journal_path)) {
-      EFF_REQUIRE(existing->header.compatible_with(header) &&
-                      existing->header.shard.index == shard.index &&
-                      existing->header.shard.count == shard.count,
-                  "journal " + options_.journal_path +
-                      " was written under a different configuration; "
-                      "refusing to resume (delete it to start fresh)");
-      for (const auto& rec : existing->records) {
-        EFF_REQUIRE(rec.index < total && shard.owns(rec.index),
-                    "journal record outside this shard's slice; refusing "
-                    "to resume: " + options_.journal_path);
-        EFF_REQUIRE(rec.point_hash == core::hash_point(space.point(rec.index)),
-                    "journal point hash does not match the design space; "
-                    "refusing to resume: " + options_.journal_path);
-        if (settled[rec.index]) continue;  // duplicate record: first wins
-        if (rec.status == PointStatus::Ok) {
-          results[rec.index] = core::parse_sweep_row(rec.payload, base);
-          settled[rec.index] = 1;
-        } else {
-          quarantined.push_back({rec.index, space.point(rec.index),
-                                 rec.payload, rec.attempts});
-          settled[rec.index] = 1;
-        }
-        ++outcome.points_resumed;
-        telemetry.on_settled(owned_pos[rec.index], /*resumed=*/true,
-                             rec.status == PointStatus::Quarantined,
-                             rec.attempts);
+    auto journal = open_journal(options_.journal_path, header, space);
+    for (const auto& rec : journal.records) {
+      if (rec.status == PointStatus::Ok) {
+        results[rec.index] = core::parse_sweep_row(rec.payload, base);
+      } else {
+        quarantined.push_back({rec.index, space.point(rec.index),
+                               rec.payload, rec.attempts});
       }
-      writer.emplace(JournalWriter::resume(options_.journal_path,
-                                           existing->valid_bytes));
-      EFFICSENSE_LOG_INFO("resuming sweep from journal",
-                          {{"path", options_.journal_path},
-                           {"resumed", obs::logv(outcome.points_resumed)},
-                           {"owned", obs::logv(owned.size())}});
-    } else {
-      writer.emplace(JournalWriter::create(options_.journal_path, header));
+      settled[rec.index] = 1;
+      telemetry.on_settled(owned_pos[rec.index], /*resumed=*/true,
+                           rec.status == PointStatus::Quarantined,
+                           rec.attempts);
     }
+    outcome.points_resumed = journal.records.size();
+    writer.emplace(std::move(journal.writer));
   }
   obs::counter("run/points_resumed").inc(outcome.points_resumed);
 
@@ -224,10 +296,7 @@ RunOutcome DurableSweeper::run(const power::DesignParams& base,
             ? options_.status_path
             : status_path_for(options_.journal_path);
     if (!status_path.empty()) {
-      const double interval = options_.status_interval_s > 0.0
-                                  ? options_.status_interval_s
-                                  : status_interval_s_from_env();
-      status.emplace(status_path, interval, &telemetry);
+      status.emplace(status_path, options_.status_interval_s, &telemetry);
     }
   }
 
@@ -238,18 +307,7 @@ RunOutcome DurableSweeper::run(const power::DesignParams& base,
   }
   // Every pending point "enters the queue" when the work list is built —
   // evaluation order decides how long it waits there.
-  const double queued_at_s = elapsed_s();
-
-  auto& evaluated_counter = obs::counter("run/points_evaluated");
-  auto& retried_counter = obs::counter("run/points_retried");
-  auto& quarantined_counter = obs::counter("run/points_quarantined");
-  auto& point_eval_hist = obs::histogram("run/point_eval_s");
-  // Stage histograms the provenance events split evaluation time across.
-  // Sum deltas around each evaluation are exact single-threaded and an
-  // overlap-inflated approximation under a thread pool (see PointEvent).
-  auto& sim_hist = obs::histogram("time/block_run");
-  auto& decode_hist = obs::histogram("time/omp_solve");
-  auto& detect_hist = obs::histogram("time/detect_score");
+  const double queued_at_s = seconds_since(run_start);
   const bool record_events = writer.has_value() && options_.record_events;
 
   std::atomic<std::size_t> done{owned.size() - pending.size()};
@@ -261,82 +319,33 @@ RunOutcome DurableSweeper::run(const power::DesignParams& base,
     progress(last_reported, owned.size());
   }
 
-  auto evaluate_one = [&](std::size_t k) {
-    EFFICSENSE_SPAN("run/point");
+  auto settle_one = [&](std::size_t k) {
     const std::uint64_t idx = pending[k];
-    const auto point = space.point(idx);
-    const auto design = core::apply_point(base, point);
-
-    JournalRecord rec;
-    rec.index = idx;
-    rec.point_hash = core::hash_point(point);
-    bool ok = false;
-    core::EvalMetrics metrics;
-    std::string error;
-    std::uint32_t attempt = 1;
-    PointEvent ev;
-    ev.index = idx;
-    ev.t_queue_s = queued_at_s;
-    ev.t_eval_start_s = elapsed_s();
-    const double sim0 = sim_hist.sum();
-    const double decode0 = decode_hist.sum();
-    const double detect0 = detect_hist.sum();
-    for (;; ++attempt) {
-      auto res = eval_once(eval_, design, options_.point_timeout_s);
-      if (res.ok) {
-        ok = true;
-        metrics = std::move(res.metrics);
-        break;
-      }
-      error = std::move(res.error);
-      if (res.timed_out || attempt >= max_attempts) break;
-      retried.fetch_add(1, std::memory_order_relaxed);
-      retried_counter.inc();
-      EFFICSENSE_LOG_WARN("point evaluation failed; retrying",
-                          {{"index", obs::logv(idx)},
-                           {"attempt", obs::logv(attempt)},
-                           {"error", error}});
-    }
-    ev.t_eval_end_s = elapsed_s();
-    ev.block_sim_s = std::max(0.0, sim_hist.sum() - sim0);
-    ev.decode_s = std::max(0.0, decode_hist.sum() - decode0);
-    ev.detect_s = std::max(0.0, detect_hist.sum() - detect0);
-    ev.attempts = attempt;
-    ev.status = ok ? PointStatus::Ok : PointStatus::Quarantined;
-    ev.cause = error;  // empty on a clean first-attempt success
-    point_eval_hist.observe(ev.eval_s());
-    rec.attempts = attempt;
-    if (ok) {
-      core::SweepResult r;
-      r.point = point;
-      r.design = design;
-      r.metrics = std::move(metrics);
-      rec.status = PointStatus::Ok;
-      rec.payload = core::sweep_result_to_row(r);
-      results[idx] = std::move(r);
-      evaluated.fetch_add(1, std::memory_order_relaxed);
-      evaluated_counter.inc();
-    } else {
-      rec.status = PointStatus::Quarantined;
-      rec.payload = error;
-      quarantined_counter.inc();
-      EFFICSENSE_LOG_WARN("point quarantined",
-                          {{"index", obs::logv(idx)},
-                           {"attempts", obs::logv(attempt)},
-                           {"error", error}});
-    }
+    auto point = settle_point(eval_, base, space, idx, options_.max_attempts,
+                              options_.point_timeout_s, run_start,
+                              queued_at_s);
+    const bool ok = point.ok();
+    const std::uint32_t attempts = point.record.attempts;
+    retried.fetch_add(attempts - 1, std::memory_order_relaxed);
     {
       std::lock_guard lock(sink_mutex);
-      if (!ok) quarantined.push_back({idx, point, error, attempt});
+      if (!ok) {
+        quarantined.push_back(
+            {idx, point.result.point, point.record.payload, attempts});
+      }
       if (writer) {
-        writer->append(rec);
+        writer->append(point.record);
         if (record_events) {
-          ev.t_journal_s = elapsed_s();
-          writer->append_event(ev);
+          point.event.t_journal_s = seconds_since(run_start);
+          writer->append_event(point.event);
         }
       }
     }
-    telemetry.on_settled(owned_pos[idx], /*resumed=*/false, !ok, attempt);
+    if (ok) {
+      results[idx] = std::move(point.result);
+      evaluated.fetch_add(1, std::memory_order_relaxed);
+    }
+    telemetry.on_settled(owned_pos[idx], /*resumed=*/false, !ok, attempts);
     done.fetch_add(1, std::memory_order_acq_rel);
     if (progress) {
       const std::size_t snapshot = done.load(std::memory_order_acquire);
@@ -349,9 +358,9 @@ RunOutcome DurableSweeper::run(const power::DesignParams& base,
   };
 
   if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for(pending.size(), evaluate_one);
+    pool->parallel_for(pending.size(), settle_one);
   } else {
-    for (std::size_t k = 0; k < pending.size(); ++k) evaluate_one(k);
+    for (std::size_t k = 0; k < pending.size(); ++k) settle_one(k);
   }
 
   telemetry.mark_complete();
@@ -476,25 +485,6 @@ RunOutcome merge_journals(const std::vector<std::string>& paths,
   }
   obs::counter("run/journals_merged").inc(paths.size());
   return out;
-}
-
-core::SweepExec journaled_sweep_exec(std::string dir,
-                                     RunOptions base_options) {
-  if (base_options.shard.whole()) base_options.shard = shard_from_env();
-  return [dir = std::move(dir), base_options](
-             const core::Evaluator& evaluator,
-             const power::DesignParams& base, const core::DesignSpace& space,
-             const std::string& name, ThreadPool* pool,
-             const std::function<void(std::size_t, std::size_t)>& progress) {
-    RunOptions options = base_options;
-    options.journal_path = dir + "/" + name + ".jsonl";
-    if (options.config_digest == 0) {
-      options.config_digest = evaluator.config_digest();
-    }
-    const DurableSweeper sweeper(&evaluator, options);
-    auto outcome = sweeper.run(base, space, pool, progress);
-    return std::move(outcome.results);
-  };
 }
 
 }  // namespace efficsense::run

@@ -21,17 +21,22 @@
 //    env knobs). Telemetry is strictly additive: result records and the
 //    RESULT_DIGEST are byte-identical with it on or off.
 //
+// settle_point (evaluate, retry or quarantine, build the record and the
+// event) and open_journal (validate and resume, or create) are the one
+// implementation of each step; the fleet Worker (run/worker.hpp) uses them
+// too.
+//
 // Obs counters: run/points_resumed, run/points_evaluated,
 // run/points_retried, run/points_quarantined, run/journal_lines_dropped.
 // Obs histogram: run/point_eval_s (whole-point evaluation latency).
 
+#include <chrono>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "core/design_space.hpp"
 #include "core/evaluator.hpp"
-#include "core/study.hpp"
 #include "core/sweep.hpp"
 #include "run/journal.hpp"
 #include "util/thread_pool.hpp"
@@ -112,6 +117,52 @@ class DurableSweeper {
   RunOptions options_;
 };
 
+/// Seconds elapsed since `start` on the steady clock: the run clock every
+/// provenance event is stamped on.
+double seconds_since(std::chrono::steady_clock::time_point start);
+
+/// One point settled: evaluated, then recorded as ok or quarantined.
+struct SettledPoint {
+  /// The point's coordinates and design; its metrics when ok().
+  core::SweepResult result;
+  JournalRecord record;
+  /// The point's provenance event; t_journal_s is left to the caller, who
+  /// stamps it once the record is appended.
+  PointEvent event;
+
+  bool ok() const { return record.status == PointStatus::Ok; }
+};
+
+/// Settle point `index` of `space` over `base` — the one settlement step
+/// DurableSweeper and the fleet Worker share. Evaluates through `eval`
+/// (inline, or on its own thread under a `timeout_s` > 0 wall-clock budget),
+/// retries failures up to `max_attempts` in all (a timeout quarantines at
+/// once), and builds the journal record and the provenance event, its stage
+/// split taken from kEvalStages. Counts run/points_evaluated|retried|
+/// quarantined and observes run/point_eval_s.
+SettledPoint settle_point(const DurableSweeper::EvalFn& eval,
+                          const power::DesignParams& base,
+                          const core::DesignSpace& space, std::uint64_t index,
+                          std::uint32_t max_attempts, double timeout_s,
+                          std::chrono::steady_clock::time_point run_start,
+                          double queued_at_s);
+
+/// A journal opened for append, with the records it already holds.
+struct OpenedJournal {
+  /// Validated records, file order, the first record per index kept.
+  std::vector<JournalRecord> records;
+  JournalWriter writer;
+};
+
+/// Open the journal at `path` for append under `header`, resuming an
+/// existing one (its corrupt tail truncated) or creating a fresh one.
+/// Throws Error when an existing journal's header is incompatible or names
+/// another shard, or a record lies outside the shard or carries a point
+/// hash `space` disagrees with: results are never mixed across
+/// configurations.
+OpenedJournal open_journal(const std::string& path, const JournalHeader& header,
+                           const core::DesignSpace& space);
+
 /// The header a DurableSweeper writes for (base, space) — exposed so tests
 /// and merge tooling can reason about compatibility.
 JournalHeader make_header(const RunOptions& options,
@@ -128,13 +179,5 @@ JournalHeader make_header(const RunOptions& options,
 RunOutcome merge_journals(const std::vector<std::string>& paths,
                           const power::DesignParams& base,
                           const std::string& out_path = "");
-
-/// A core::SweepExec that runs each study sweep through a DurableSweeper
-/// journaling to `<dir>/<sweep name>.jsonl`. When `base_options.shard` is
-/// the whole space, EFFICSENSE_SHARD is consulted, so
-/// `study.run(log, journaled_sweep_exec("results/study"))` gives a Study
-/// durable, sharded execution without core knowing about the run layer.
-core::SweepExec journaled_sweep_exec(std::string dir,
-                                     RunOptions base_options = {});
 
 }  // namespace efficsense::run

@@ -89,13 +89,29 @@ struct PointEvent {
   double t_eval_end_s = 0.0;
   double t_journal_s = 0.0;
   double block_sim_s = 0.0;  ///< time/block_run delta
-  double decode_s = 0.0;     ///< time/omp_solve delta
+  double decode_s = 0.0;     ///< time/decode delta (any reconstructing solver)
   double detect_s = 0.0;     ///< time/detect_score delta
   /// Empty for a clean first-attempt success; otherwise the last error seen
   /// (a retried-then-ok point keeps its retry cause).
   std::string cause;
 
   double eval_s() const { return t_eval_end_s - t_eval_start_s; }
+};
+
+/// One evaluation stage a PointEvent splits its time across: the
+/// process-wide histogram it is read from and the event field it lands in.
+struct EvalStage {
+  const char* name;
+  const char* histogram;
+  double PointEvent::*seconds;
+};
+/// The stage table, in render order. Point settlement takes its deltas from
+/// it, and status.json and the sweep_status report render their stage rows
+/// from it (each followed by a whole-point "point" row).
+inline constexpr EvalStage kEvalStages[] = {
+    {"block_sim", "time/block_run", &PointEvent::block_sim_s},
+    {"decode", "time/decode", &PointEvent::decode_s},
+    {"detect", "time/detect_score", &PointEvent::detect_s},
 };
 
 std::string header_to_line(const JournalHeader& h);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <sstream>
 
@@ -147,7 +148,8 @@ SweepReport build_report(const std::vector<std::string>& journal_paths,
 
   // Per-event eval/stage samples pooled across shards, plus the freshest
   // heartbeat. Events are matched back to points for the slowest table.
-  std::vector<double> eval_vals, sim_vals, decode_vals, detect_vals;
+  std::vector<double> eval_vals;
+  std::vector<std::vector<double>> stage_vals(std::size(kEvalStages));
   std::vector<PointRow> event_rows;
   std::map<std::uint64_t, const PointEvent*> last_event_by_index;
   double best_heartbeat = -1.0;
@@ -186,9 +188,9 @@ SweepReport build_report(const std::vector<std::string>& journal_paths,
 
     for (const auto& ev : contents.events) {
       eval_vals.push_back(ev.eval_s());
-      sim_vals.push_back(ev.block_sim_s);
-      decode_vals.push_back(ev.decode_s);
-      detect_vals.push_back(ev.detect_s);
+      for (std::size_t i = 0; i < stage_vals.size(); ++i) {
+        stage_vals[i].push_back(ev.*kEvalStages[i].seconds);
+      }
       PointRow row;
       row.index = ev.index;
       row.eval_s = ev.eval_s();
@@ -319,12 +321,10 @@ SweepReport build_report(const std::vector<std::string>& journal_paths,
 
     double total_eval = 0.0;
     for (const double v : eval_vals) total_eval += v;
-    report.stages.push_back(
-        make_stage("block_sim", std::move(sim_vals), total_eval));
-    report.stages.push_back(
-        make_stage("decode", std::move(decode_vals), total_eval));
-    report.stages.push_back(
-        make_stage("detect", std::move(detect_vals), total_eval));
+    for (std::size_t i = 0; i < stage_vals.size(); ++i) {
+      report.stages.push_back(make_stage(
+          kEvalStages[i].name, std::move(stage_vals[i]), total_eval));
+    }
     report.stages.push_back(make_stage("point", std::move(eval_vals), 0.0));
 
     std::sort(event_rows.begin(), event_rows.end(),

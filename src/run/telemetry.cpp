@@ -19,20 +19,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-// The four stages every status.json reports, in render order. Always
-// emitted (zeroed when the histogram has no samples yet) so the JSON schema
-// is stable from the first heartbeat on.
-struct StageSource {
-  const char* name;
-  const char* histogram;
-};
-constexpr StageSource kStages[] = {
-    {"block_sim", "time/block_run"},
-    {"decode", "time/omp_solve"},
-    {"detect", "time/detect_score"},
-    {"point", "run/point_eval_s"},
-};
-
 double steady_seconds_between(std::chrono::steady_clock::time_point a,
                               std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -270,19 +256,24 @@ StatusSnapshot TelemetryState::snapshot(double interval_s) const {
     }
   }
   s.rss_bytes = metrics.rss_bytes;
-  for (const auto& stage : kStages) {
+  // Every stage row is always emitted (zeroed when its histogram has no
+  // samples yet), so the JSON schema is stable from the first heartbeat on.
+  const auto add_stage = [&](const char* name, const char* histogram) {
     StatusSnapshot::Stage st;
-    st.name = stage.name;
-    if (const auto stats = metrics.stats(stage.histogram)) st.stats = *stats;
+    st.name = name;
+    if (const auto stats = metrics.stats(histogram)) st.stats = *stats;
     s.stages.push_back(std::move(st));
-  }
+  };
+  for (const auto& stage : kEvalStages) add_stage(stage.name, stage.histogram);
+  add_stage("point", "run/point_eval_s");
   return s;
 }
 
 StatusWriter::StatusWriter(std::string path, double interval_s,
                            const TelemetryState* state)
     : path_(std::move(path)),
-      interval_s_(std::max(0.05, interval_s)),
+      interval_s_(interval_s > 0.0 ? std::max(0.05, interval_s)
+                                   : status_interval_s_from_env()),
       state_(state) {
   write_now();
   thread_ = std::thread([this] {

@@ -116,9 +116,10 @@ class TelemetryState {
 };
 
 /// Background heartbeat: writes `path` atomically every `interval_s`
-/// seconds, once immediately on construction and once more from
-/// stop()/the destructor — so the file exists as soon as the sweep starts
-/// and ends on a complete=true (or the truth: a stale, incomplete one).
+/// seconds (<= 0 = status_interval_s_from_env()), once immediately on
+/// construction and once more from stop()/the destructor — so the file
+/// exists as soon as the sweep starts and ends on a complete=true (or the
+/// truth: a stale, incomplete one).
 class StatusWriter {
  public:
   StatusWriter(std::string path, double interval_s,

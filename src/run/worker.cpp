@@ -9,9 +9,7 @@
 #include <optional>
 #include <thread>
 
-#include "core/sweep.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "run/telemetry.hpp"
@@ -144,34 +142,11 @@ WorkerOutcome Worker::run() {
 
   // Own journal: resume committed work (a restarted worker re-granted the
   // same range skips straight through it), or start fresh.
-  const std::string journal_path = paths.journal_path(options_.name);
+  auto journal =
+      open_journal(paths.journal_path(options_.name), header, space_);
   std::vector<char> mine(total, 0);
-  std::uint64_t committed = 0;
-  std::optional<JournalWriter> writer;
-  if (auto existing = read_journal(journal_path)) {
-    EFF_REQUIRE(existing->header.compatible_with(header) &&
-                    existing->header.shard.whole(),
-                "worker journal " + journal_path +
-                    " was written under a different configuration; "
-                    "refusing to resume");
-    for (const auto& rec : existing->records) {
-      EFF_REQUIRE(rec.index < total &&
-                      rec.point_hash ==
-                          core::hash_point(space_.point(rec.index)),
-                  "journal record does not match the design space; refusing "
-                  "to resume: " + journal_path);
-      if (!mine[rec.index]) {
-        mine[rec.index] = 1;
-        ++committed;
-      }
-    }
-    writer.emplace(JournalWriter::resume(journal_path, existing->valid_bytes));
-    EFFICSENSE_LOG_INFO("worker resuming own journal",
-                        {{"worker", options_.name},
-                         {"resumed", obs::logv(committed)}});
-  } else {
-    writer.emplace(JournalWriter::create(journal_path, header));
-  }
+  for (const auto& rec : journal.records) mine[rec.index] = 1;
+  std::uint64_t committed = journal.records.size();
 
   WorkerHeartbeat seed;
   seed.worker = options_.name;
@@ -180,21 +155,6 @@ WorkerOutcome Worker::run() {
                          seed);
 
   const auto run_start = std::chrono::steady_clock::now();
-  const auto elapsed_s = [run_start] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         run_start)
-        .count();
-  };
-  auto& evaluated_counter = obs::counter("run/points_evaluated");
-  auto& retried_counter = obs::counter("run/points_retried");
-  auto& quarantined_counter = obs::counter("run/points_quarantined");
-  auto& point_eval_hist = obs::histogram("run/point_eval_s");
-  auto& sim_hist = obs::histogram("time/block_run");
-  auto& decode_hist = obs::histogram("time/omp_solve");
-  auto& detect_hist = obs::histogram("time/detect_score");
-  const std::uint32_t max_attempts =
-      std::max<std::uint32_t>(1, options_.max_attempts);
-
   WorkerOutcome outcome;
   std::uint64_t completed_lease_id = 0;
 
@@ -215,76 +175,6 @@ WorkerOutcome Worker::run() {
     return status && status_is_stale(*status, obs::unix_now_s());
   };
 
-  const auto evaluate_point = [&](std::uint64_t idx, double queued_at_s) {
-    EFFICSENSE_SPAN("run/point");
-    const auto point = space_.point(idx);
-    const auto design = core::apply_point(base_, point);
-    JournalRecord rec;
-    rec.index = idx;
-    rec.point_hash = core::hash_point(point);
-    PointEvent ev;
-    ev.index = idx;
-    ev.t_queue_s = queued_at_s;
-    ev.t_eval_start_s = elapsed_s();
-    const double sim0 = sim_hist.sum();
-    const double decode0 = decode_hist.sum();
-    const double detect0 = detect_hist.sum();
-    bool ok = false;
-    core::EvalMetrics metrics;
-    std::string error;
-    std::uint32_t attempt = 1;
-    for (;; ++attempt) {
-      try {
-        metrics = eval_(design);
-        ok = true;
-        break;
-      } catch (const std::exception& e) {
-        error = e.what();
-      }
-      if (attempt >= max_attempts) break;
-      retried_counter.inc();
-      EFFICSENSE_LOG_WARN("point evaluation failed; retrying",
-                          {{"index", obs::logv(idx)},
-                           {"attempt", obs::logv(attempt)},
-                           {"error", error}});
-    }
-    ev.t_eval_end_s = elapsed_s();
-    ev.block_sim_s = std::max(0.0, sim_hist.sum() - sim0);
-    ev.decode_s = std::max(0.0, decode_hist.sum() - decode0);
-    ev.detect_s = std::max(0.0, detect_hist.sum() - detect0);
-    ev.attempts = attempt;
-    ev.status = ok ? PointStatus::Ok : PointStatus::Quarantined;
-    ev.cause = error;
-    point_eval_hist.observe(ev.eval_s());
-    rec.attempts = attempt;
-    if (ok) {
-      core::SweepResult r;
-      r.point = point;
-      r.design = design;
-      r.metrics = std::move(metrics);
-      rec.status = PointStatus::Ok;
-      rec.payload = core::sweep_result_to_row(r);
-      ++outcome.points_evaluated;
-      evaluated_counter.inc();
-    } else {
-      rec.status = PointStatus::Quarantined;
-      rec.payload = error;
-      ++outcome.points_quarantined;
-      quarantined_counter.inc();
-      EFFICSENSE_LOG_WARN("point quarantined",
-                          {{"index", obs::logv(idx)},
-                           {"attempts", obs::logv(attempt)},
-                           {"error", error}});
-    }
-    writer->append(rec);
-    if (options_.record_events) {
-      ev.t_journal_s = elapsed_s();
-      writer->append_event(ev);
-    }
-    mine[idx] = 1;
-    ++committed;
-  };
-
   while (true) {
     if (fs::exists(paths.done)) break;
     auto lease = read_my_lease();
@@ -300,7 +190,7 @@ WorkerOutcome Worker::run() {
 
     // Serve the lease in order, re-reading it before every point so a
     // steal-shrink or revocation is honored within one in-flight point.
-    const double queued_at_s = elapsed_s();
+    const double queued_at_s = seconds_since(run_start);
     std::uint64_t idx = lease->begin;
     while (true) {
       const auto current = read_my_lease();
@@ -331,12 +221,27 @@ WorkerOutcome Worker::run() {
         ++idx;
         continue;
       }
-      evaluate_point(idx, queued_at_s);
+      // No per-point timeout: a hung evaluation is solved by lease expiry.
+      auto point = settle_point(eval_, base_, space_, idx,
+                                options_.max_attempts, /*timeout_s=*/0.0,
+                                run_start, queued_at_s);
+      if (point.ok()) {
+        ++outcome.points_evaluated;
+      } else {
+        ++outcome.points_quarantined;
+      }
+      journal.writer.append(point.record);
+      if (options_.record_events) {
+        point.event.t_journal_s = seconds_since(run_start);
+        journal.writer.append_event(point.event);
+      }
+      mine[idx] = 1;
+      ++committed;
       ++idx;
     }
   }
 
-  writer->flush();
+  journal.writer.flush();
   beacon.update(0, 0, 0, committed, /*idle=*/true);
   beacon.write_now();
   EFFICSENSE_LOG_INFO("worker done",

@@ -12,9 +12,11 @@
 //
 // A worker restarted onto an existing spool resumes its own journal:
 // already-committed indices are skipped, so re-granted ranges cost nothing.
-// Failures retry up to max_attempts, then quarantine into the journal like
-// the DurableSweeper (no per-point wall-clock timeout here: a hung
-// evaluation is the coordinator's problem, solved by lease expiry).
+// Points are settled and the journal resumed through the same code as the
+// DurableSweeper (run::settle_point, run::open_journal), so failures retry
+// up to max_attempts and then quarantine into the journal with the same
+// record bytes. There is no per-point wall-clock timeout here: a hung
+// evaluation is the coordinator's problem, solved by lease expiry.
 
 #include <cstdint>
 #include <string>

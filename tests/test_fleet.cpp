@@ -15,6 +15,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "core/design_space.hpp"
@@ -351,6 +354,99 @@ TEST(Fleet, SingleWorkerMatchesSerial) {
   const auto merged = read_journal(paths.merged);
   ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(merged->records.size(), 24u);
+}
+
+namespace {
+
+/// fake_metrics, except that point (2 uV, 6 bits) fails its first attempt
+/// and point (3 uV, 8 bits) fails every attempt. Each instance keeps its own
+/// attempt count, so two runs fed fresh instances see identical failures.
+struct FlakyEval {
+  std::shared_ptr<std::atomic<int>> transient_calls =
+      std::make_shared<std::atomic<int>>(0);
+
+  EvalMetrics operator()(const power::DesignParams& d) const {
+    if (d.lna_noise_vrms == 2e-6 && d.adc_bits == 6 &&
+        transient_calls->fetch_add(1) == 0) {
+      throw std::runtime_error("transient failure");
+    }
+    if (d.lna_noise_vrms == 3e-6 && d.adc_bits == 8) {
+      throw std::runtime_error("permanent failure");
+    }
+    return fake_metrics(d);
+  }
+};
+
+/// The journal's point-record lines, verbatim, in file order.
+std::vector<std::string> point_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::istringstream in(read_text(path));
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"type\":\"point\"") != std::string::npos) {
+      lines.push_back(line);
+    }
+  }
+  return lines;
+}
+
+}  // namespace
+
+TEST(Fleet, WorkerSettlesPointsLikeDurableSweeper) {
+  // A fleet worker and a DurableSweeper fed the same evaluation function
+  // must write the same records: same retry, same quarantine, same bytes.
+  TempDir tmp;
+  const auto space = fleet_space();
+  const auto spool = tmp.path("spool");
+  power::DesignParams base;
+
+  RunOptions o;
+  o.journal_path = tmp.path("durable.jsonl");
+  o.config_digest = 42;
+  const auto serial = DurableSweeper(FlakyEval{}, o).run(base, space);
+  ASSERT_EQ(serial.quarantined.size(), 1u);
+  EXPECT_EQ(serial.points_retried, 3u);  // 1 for the transient, 2 for B
+
+  Coordinator coordinator(base, space, coord_options(spool));
+  CoordinatorOutcome outcome;
+  std::thread coord([&] { outcome = coordinator.run(); });
+  WorkerOutcome worker_outcome;
+  std::thread worker([&] {
+    Worker w(FlakyEval{}, base, space, worker_options(spool, "w0"));
+    worker_outcome = w.run();
+  });
+  coord.join();
+  worker.join();
+  EXPECT_EQ(worker_outcome.points_quarantined, 1u);
+  EXPECT_EQ(worker_outcome.points_evaluated, 23u);
+  EXPECT_EQ(sweep_to_csv(outcome.merged.results), sweep_to_csv(serial.results));
+
+  const auto worker_journal = spool_paths(spool).journal_path("w0");
+  const auto durable_lines = point_lines(o.journal_path);
+  ASSERT_EQ(durable_lines.size(), 24u);
+  EXPECT_EQ(point_lines(worker_journal), durable_lines);
+
+  const auto durable = read_journal(o.journal_path);
+  const auto fleet = read_journal(worker_journal);
+  ASSERT_TRUE(durable.has_value());
+  ASSERT_TRUE(fleet.has_value());
+  ASSERT_EQ(durable->events.size(), 24u);
+  ASSERT_EQ(fleet->events.size(), durable->events.size());
+  for (std::size_t i = 0; i < durable->events.size(); ++i) {
+    const auto& a = durable->events[i];
+    const auto& b = fleet->events[i];
+    EXPECT_EQ(a.index, b.index);
+    EXPECT_EQ(a.status, b.status) << "point " << a.index;
+    EXPECT_EQ(a.attempts, b.attempts) << "point " << a.index;
+    EXPECT_EQ(a.cause, b.cause) << "point " << a.index;
+  }
+  std::size_t retried = 0;
+  for (const auto& ev : fleet->events) {
+    if (ev.attempts == 1) continue;
+    ++retried;
+    EXPECT_EQ(ev.cause, ev.status == PointStatus::Ok ? "transient failure"
+                                                     : "permanent failure");
+  }
+  EXPECT_EQ(retried, 2u);
 }
 
 TEST(Fleet, IdleWorkerStealsFromBusyLease) {

@@ -179,6 +179,17 @@ pid_t spawn_worker(const char* self, const std::string& spool,
   return pid;
 }
 
+/// The EFFICSENSE_THREADS pool the evaluator fans out over (0 = hardware
+/// concurrency); null when that comes to one thread.
+std::unique_ptr<ThreadPool> pool_from_env() {
+  const auto threads = static_cast<std::size_t>(
+      std::max<std::int64_t>(0, env_int("EFFICSENSE_THREADS", 0)));
+  if (threads == 1) return nullptr;
+  auto pool = std::make_unique<ThreadPool>(threads);
+  if (pool->size() <= 1) pool.reset();
+  return pool;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -320,13 +331,7 @@ int main(int argc, char** argv) {
     }
 
     if (!worker_spool.empty()) {
-      const auto threads = static_cast<std::size_t>(
-          std::max<std::int64_t>(0, env_int("EFFICSENSE_THREADS", 0)));
-      std::unique_ptr<ThreadPool> pool;
-      if (threads != 1) {
-        pool = std::make_unique<ThreadPool>(threads);
-        if (pool->size() <= 1) pool.reset();
-      }
+      const auto pool = pool_from_env();
       const auto context = run::make_scenario_context(
           spec, pool.get(),
           [](const std::string& line) { std::cout << "[" << line << "]\n"; });
@@ -373,14 +378,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    const auto threads = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, env_int("EFFICSENSE_THREADS", 0)));
-    std::unique_ptr<ThreadPool> pool;
-    if (threads != 1) {
-      pool = std::make_unique<ThreadPool>(threads);
-      if (pool->size() <= 1) pool.reset();
-    }
-
+    const auto pool = pool_from_env();
     const auto context = run::make_scenario_context(
         spec, pool.get(),
         [](const std::string& line) { std::cout << "[" << line << "]\n"; });
