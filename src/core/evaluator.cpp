@@ -233,10 +233,12 @@ std::vector<EvalMetrics> Evaluator::evaluate_lanes(
 
   // Segment i is fully determined by its run index (every noise block seeds
   // run i from derive_seed(seed, i)), so (group, segment) tasks fan out over
-  // the pool, each on a chain of its group seeked to run i. The per-window
-  // decode fans out over the same (reentrant) pool, so a lone segment still
-  // uses every executor and idle executors in the last round help decode
-  // the windows still open.
+  // the pool this evaluation runs on, each on a chain of its group seeked to
+  // run i. The per-window decode fans out over the same (reentrant) pool, so
+  // a lone segment still uses every executor, and idle executors, whether
+  // in this evaluation's last round or done with a sweep's other points,
+  // join the segments and windows still open.
+  ThreadPool* const pool = ThreadPool::current();
   std::vector<std::vector<SegmentResult>> results(
       groups.size(), std::vector<SegmentResult>(limit));
   const double f_sample = design.f_sample_hz();
@@ -258,7 +260,7 @@ std::vector<EvalMetrics> Evaluator::evaluate_lanes(
           arch::run_chain_batch(*chain, segment.waveform, lanes);
       std::vector<const double*> rows(lanes);
       for (std::size_t k = 0; k < lanes; ++k) rows[k] = received.lane(k);
-      signals = group.decoder->decode_lanes(rows, received.samples(), pool_);
+      signals = group.decoder->decode_lanes(rows, received.samples(), pool);
       // Signal-dependent power (event-driven conversion): the report is
       // only meaningful right after the segment streamed.
       if (live_power) out.power = architecture.power_report(*chain);
@@ -298,8 +300,8 @@ std::vector<EvalMetrics> Evaluator::evaluate_lanes(
         lane_records, f_sample * group.decoder->rate_scale(), segment.ictal);
   };
   const std::size_t tasks = groups.size() * limit;
-  if (pool_ != nullptr) {
-    pool_->parallel_for(tasks, run_segment);
+  if (pool != nullptr) {
+    pool->parallel_for(tasks, run_segment);
   } else {
     for (std::size_t t = 0; t < tasks; ++t) run_segment(t);
   }

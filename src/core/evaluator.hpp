@@ -6,7 +6,9 @@
 // and seizure-detection accuracy (Fig. 7b) — next to the analytic power and
 // capacitor area. One schedule serves one instance or a Monte-Carlo lane
 // group. Architectures with signal-dependent power (LC-ADC) are scored on
-// the per-segment power reports averaged over the dataset.
+// the per-segment power reports averaged over the dataset. An evaluation
+// fans out over the pool it runs on (ThreadPool::current()); off a pool it
+// runs serially, with the same bits.
 
 #include <cstdint>
 #include <string>
@@ -17,10 +19,6 @@
 #include "eeg/dataset.hpp"
 #include "power/area.hpp"
 #include "sim/report.hpp"
-
-namespace efficsense {
-class ThreadPool;
-}
 
 namespace efficsense::core {
 
@@ -66,10 +64,12 @@ class Evaluator {
   /// decode runs as a multi-RHS solve per window. An architecture without
   /// a batched model, or with signal-dependent power (its report is read
   /// per instance right after each segment), runs K one-lane groups on
-  /// build_model chains instead. With a pool (set_pool) the (group,
-  /// segment) tasks fan out, each on a chain seeked to the segment's run
-  /// index; results are reduced in segment order, so the output does not
-  /// depend on the pool. All lanes must share the phi seed.
+  /// build_model chains instead. Called on a pool's thread (a worker, or
+  /// a caller inside its parallel_for: ThreadPool::current()), the (group,
+  /// segment) tasks and each segment's per-window decode fan out over that
+  /// pool, each segment on a chain seeked to its run index; results are
+  /// reduced in segment order, so the output does not depend on the pool.
+  /// All lanes must share the phi seed.
   std::vector<EvalMetrics> evaluate_lanes(
       const power::DesignParams& design,
       const std::vector<arch::ChainSeeds>& lane_seeds) const;
@@ -87,10 +87,6 @@ class Evaluator {
   std::uint64_t config_digest() const;
   /// Replace the chain seeds (Monte-Carlo fabrication sweeps).
   void set_seeds(const arch::ChainSeeds& seeds) { options_.seeds = seeds; }
-  /// Optional pool (non-owning). evaluate() and evaluate_lanes() fan their
-  /// segments, and each segment's per-window reconstructions, out over it.
-  /// Results are identical to the serial path.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
 
  private:
   /// The reconstruction config for one design point: the evaluator-level
@@ -102,7 +98,6 @@ class Evaluator {
   const eeg::Dataset* dataset_;
   const classify::EpilepsyDetector* detector_;
   EvalOptions options_;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace efficsense::core

@@ -94,9 +94,8 @@ MonteCarloResult monte_carlo(
     }
     EFFICSENSE_SPAN("mc/group");
     const auto start = std::chrono::steady_clock::now();
-    Evaluator local = evaluator;  // shares dataset/detector (non-owning)
-    if (pool) local.set_pool(pool.get());  // nested fan-out is reentrancy-safe
-    const auto lane_metrics = local.evaluate_lanes(design, lane_seeds);
+    // On the pool, the group's segments fan out over it too.
+    const auto lane_metrics = evaluator.evaluate_lanes(design, lane_seeds);
     for (std::size_t k = 0; k < count; ++k) {
       result.instances[first + k] = lane_metrics[k];
     }

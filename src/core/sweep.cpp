@@ -32,9 +32,11 @@ std::vector<SweepResult> Sweeper::run(
   auto& point_hist = obs::histogram("sweep/point_seconds");
   auto& points_counter = obs::counter("sweep/points");
   auto& progress_gauge = obs::gauge("sweep/progress");
-  auto& queue_gauge = obs::gauge("pool/queue_depth");
+  auto& jobs_gauge = obs::gauge("pool/open_jobs");
   auto& busy_gauge = obs::gauge("pool/busy_workers");
   const auto sweep_start = clock::now();
+  const ThreadPool::Stats pool_before =
+      pool != nullptr ? pool->stats() : ThreadPool::Stats{};
 
   auto evaluate_one = [&](std::size_t i) {
     EFFICSENSE_SPAN("sweep/point");
@@ -48,7 +50,7 @@ std::vector<SweepResult> Sweeper::run(
         std::chrono::duration<double>(clock::now() - start).count());
     points_counter.inc();
     if (pool != nullptr) {
-      queue_gauge.set(static_cast<double>(pool->queue_depth()));
+      jobs_gauge.set(static_cast<double>(pool->open_jobs()));
       busy_gauge.set(static_cast<double>(pool->busy_workers()));
     }
     // Completion counting: done is bumped exactly once per point; callbacks
@@ -76,16 +78,21 @@ std::vector<SweepResult> Sweeper::run(
   }
 
   if (pool != nullptr) {
-    const auto stats = pool->stats();
-    const double wall =
-        std::chrono::duration<double>(clock::now() - sweep_start).count();
-    obs::gauge("pool/utilization").set(stats.utilization(wall));
-    for (std::size_t w = 0; w < stats.worker_tasks.size(); ++w) {
-      obs::gauge("pool/worker" + std::to_string(w) + "/tasks")
-          .set(static_cast<double>(stats.worker_tasks[w]));
-    }
+    record_pool_gauges(
+        *pool, pool_before,
+        std::chrono::duration<double>(clock::now() - sweep_start).count());
   }
   return results;
+}
+
+void record_pool_gauges(const ThreadPool& pool, const ThreadPool::Stats& before,
+                        double wall_s) {
+  const ThreadPool::Stats window = pool.stats().minus(before);
+  obs::gauge("pool/utilization").set(window.utilization(wall_s));
+  for (std::size_t w = 0; w < window.worker_tasks.size(); ++w) {
+    obs::gauge("pool/worker" + std::to_string(w) + "/tasks")
+        .set(static_cast<double>(window.worker_tasks[w]));
+  }
 }
 
 namespace {

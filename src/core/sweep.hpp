@@ -38,6 +38,14 @@ class Sweeper {
   const Evaluator* evaluator_;
 };
 
+/// Mirror a pool's activity over one window (a sweep) into obs gauges:
+/// pool/utilization is the workers' busy time since the `before` snapshot
+/// over size() x `wall_s`, and pool/worker<i>/tasks the indices worker i
+/// ran since then. A window's delta, not the pool's lifetime totals, so
+/// sweeps sharing a pool each read at most 1.
+void record_pool_gauges(const ThreadPool& pool, const ThreadPool::Stats& before,
+                        double wall_s);
+
 /// One result as a single CSV row (no header, no newline), 17-digit
 /// precision so doubles round-trip bit-exactly. This row is also the unit
 /// the run journal checkpoints: parse_sweep_row(sweep_result_to_row(r))

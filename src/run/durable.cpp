@@ -32,7 +32,9 @@ struct AttemptOutcome {
 /// One evaluation attempt. With no timeout the function runs inline; with
 /// one it runs on its own thread and, past the deadline, is abandoned
 /// (detached — it finishes into a shared block that outlives it and is
-/// then discarded).
+/// then discarded). That thread is on no pool (ThreadPool::current() is
+/// null there), so the evaluation runs serially and an abandoned one never
+/// touches the sweep's pool.
 AttemptOutcome eval_once(const DurableSweeper::EvalFn& eval,
                          const power::DesignParams& design, double timeout_s) {
   AttemptOutcome out;
@@ -357,10 +359,16 @@ RunOutcome DurableSweeper::run(const power::DesignParams& base,
     }
   };
 
+  const auto sweep_start = std::chrono::steady_clock::now();
+  const ThreadPool::Stats pool_before =
+      pool != nullptr ? pool->stats() : ThreadPool::Stats{};
   if (pool != nullptr && pool->size() > 1) {
     pool->parallel_for(pending.size(), settle_one);
   } else {
     for (std::size_t k = 0; k < pending.size(); ++k) settle_one(k);
+  }
+  if (pool != nullptr) {
+    core::record_pool_gauges(*pool, pool_before, seconds_since(sweep_start));
   }
 
   telemetry.mark_complete();

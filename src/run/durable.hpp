@@ -28,7 +28,10 @@
 //
 // Obs counters: run/points_resumed, run/points_evaluated,
 // run/points_retried, run/points_quarantined, run/journal_lines_dropped.
-// Obs histogram: run/point_eval_s (whole-point evaluation latency).
+// Obs histogram: run/point_eval_s (whole-point evaluation latency). With a
+// pool, the run sets the pool/* gauges over its own window
+// (core::record_pool_gauges); each point's evaluation fans out over that
+// pool as executors free up (core::Evaluator).
 
 #include <chrono>
 #include <functional>

@@ -1,6 +1,7 @@
 #include "run/telemetry.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -23,6 +24,9 @@ double steady_seconds_between(std::chrono::steady_clock::time_point a,
                               std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
+
+/// Time constant of the settle-rate EWMA, in seconds.
+constexpr double kEwmaTau_s = 10.0;
 
 }  // namespace
 
@@ -175,8 +179,8 @@ void TelemetryState::configure(const JournalHeader& header,
   retried_ = 0;
   complete_ = false;
   start_ = std::chrono::steady_clock::now();
-  last_settle_ = {};
-  ewma_pps_ = 0.0;
+  ewma_points_ = 0.0;
+  ewma_t_s_ = 0.0;
 }
 
 void TelemetryState::on_settled(std::uint64_t k, bool resumed,
@@ -191,17 +195,12 @@ void TelemetryState::on_settled(std::uint64_t k, bool resumed,
     ++resumed_;
   } else {
     ++evaluated_;
-    const auto now = std::chrono::steady_clock::now();
-    if (last_settle_.time_since_epoch().count() != 0) {
-      const double dt = steady_seconds_between(last_settle_, now);
-      if (dt > 1e-9) {
-        const double inst = 1.0 / dt;
-        constexpr double kAlpha = 0.2;
-        ewma_pps_ = ewma_pps_ <= 0.0 ? inst
-                                     : kAlpha * inst + (1.0 - kAlpha) * ewma_pps_;
-      }
-    }
-    last_settle_ = now;
+    // Points, not 1/dt per settlement: a burst of settlements microseconds
+    // apart adds its count, and the count decays with elapsed time.
+    const double t =
+        steady_seconds_between(start_, std::chrono::steady_clock::now());
+    ewma_points_ = ewma_points_ * std::exp(-(t - ewma_t_s_) / kEwmaTau_s) + 1.0;
+    ewma_t_s_ = t;
   }
   if (quarantined) ++quarantined_;
   if (attempts > 1) ++retried_;
@@ -246,7 +245,14 @@ StatusSnapshot TelemetryState::snapshot(double interval_s) const {
     if (s.elapsed_s > 1e-9) {
       s.throughput_pps = static_cast<double>(evaluated_) / s.elapsed_s;
     }
-    s.throughput_ewma_pps = ewma_pps_;
+    // The decayed count over its weight window tau * (1 - e^(-t/tau)), so
+    // the rate is unbiased from the first settlement on and falls while no
+    // point settles.
+    if (ewma_points_ > 0.0 && s.elapsed_s > 1e-9) {
+      s.throughput_ewma_pps =
+          ewma_points_ * std::exp(-(s.elapsed_s - ewma_t_s_) / kEwmaTau_s) /
+          (kEwmaTau_s * -std::expm1(-s.elapsed_s / kEwmaTau_s));
+    }
     const std::uint64_t remaining = owned_ > committed_ ? owned_ - committed_
                                                         : 0;
     const double rate =

@@ -49,7 +49,7 @@ struct StatusSnapshot {
   bool complete = false;  ///< the sweep finished and wrote its final status
   double elapsed_s = 0.0;
   double throughput_pps = 0.0;       ///< evaluated-this-run / elapsed
-  double throughput_ewma_pps = 0.0;  ///< EWMA of instantaneous settle rate
+  double throughput_ewma_pps = 0.0;  ///< time-weighted EWMA of settle rate
   double eta_s = 0.0;                ///< remaining / throughput (0 = unknown)
   double rss_bytes = 0.0;
 
@@ -111,8 +111,10 @@ class TelemetryState {
   bool complete_ = false;
   std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
-  std::chrono::steady_clock::time_point last_settle_{};
-  double ewma_pps_ = 0.0;
+  /// Exponentially weighted count of evaluated settlements (time constant
+  /// kEwmaTau_s), as of ewma_t_s_ seconds after start_.
+  double ewma_points_ = 0.0;
+  double ewma_t_s_ = 0.0;
 };
 
 /// Background heartbeat: writes `path` atomically every `interval_s`

@@ -456,10 +456,13 @@ TEST(PooledLanes, EvaluateLanesInvariantToPoolSize) {
         const std::size_t groups =
             c.one_lane_groups ? lane_seeds->size() : std::size_t{1};
         for (ThreadPool* pool : {&pool1, &pool2, &pool4}) {
-          Evaluator pooled = serial;
-          pooled.set_pool(pool);
           const auto before = builds.value();
-          const auto got = pooled.evaluate_lanes(c.design, *lane_seeds);
+          // Run on the pool: the evaluation fans out over the pool it
+          // runs on.
+          std::vector<EvalMetrics> got;
+          pool->parallel_for(1, [&](std::size_t) {
+            got = serial.evaluate_lanes(c.design, *lane_seeds);
+          });
           // Each group's chain free-list holds at most one chain per
           // executor: the pool's workers plus the calling thread.
           EXPECT_LE(builds.value() - before, groups * (pool->size() + 1))

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -24,6 +25,7 @@
 #include "run/journal.hpp"
 #include "util/atomic_io.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace efficsense;
 using namespace efficsense::core;
@@ -768,6 +770,94 @@ TEST(DurableSweeper, ProvenanceReportsEvaluatorStageTime) {
     } else {
       EXPECT_EQ(ev.decode_s, 0.0) << "point " << ev.index;
     }
+  }
+}
+
+TEST(DurableSweeper, NestedSweepOnPoolMatchesPoolless) {
+  // One BSBL point on a pool: the sweep's only point opens its segments as
+  // a job of its own, and the idle executors join it, so the point runs on
+  // more than one chain. Segments are reduced in segment order, so the
+  // result is byte-identical to the pool-less sweep.
+  const eeg::Generator gen{eeg::GeneratorConfig{}};
+  const auto dataset = eeg::make_dataset(gen, 2, 2, 11);
+  classify::DetectorConfig cfg;
+  cfg.train.epochs = 10;
+  const auto detector =
+      classify::EpilepsyDetector::train(eeg::make_dataset(gen, 4, 4, 22), cfg);
+  const Evaluator evaluator(power::TechnologyParams{}, &dataset, &detector);
+
+  DesignSpace space;
+  space.add_axis("solver",
+                 {double(cs::SolverRegistry::instance().code_of("bsbl"))});
+  power::DesignParams base;
+  base.cs_m = 75;
+  const DurableSweeper sweeper(&evaluator, RunOptions{});
+  auto& builds = obs::counter("eval/chain_builds");
+
+  const auto serial_before = builds.value();
+  const auto serial = sweeper.run(base, space);
+  EXPECT_EQ(builds.value() - serial_before, 1u);
+
+  ThreadPool pool(3);
+  const auto pooled_before = builds.value();
+  const auto pooled = sweeper.run(base, space, &pool);
+  EXPECT_GT(builds.value() - pooled_before, 1u);
+  EXPECT_LE(builds.value() - pooled_before, pool.size() + 1);
+
+  ASSERT_EQ(serial.results.size(), 1u);
+  ASSERT_EQ(pooled.results.size(), 1u);
+  EXPECT_EQ(sweep_to_csv(pooled.results), sweep_to_csv(serial.results));
+  EXPECT_EQ(pool.open_jobs(), 0u);
+}
+
+TEST(DurableSweeper, PointTimeoutThreadIsOffThePool) {
+  // Inline, an evaluation runs on the sweep's pool; under a point timeout
+  // it runs on a thread of its own, which must not reach the pool (an
+  // abandoned evaluation would otherwise keep using it).
+  ThreadPool pool(3);
+  const auto space = small_space();
+  power::DesignParams base;
+  for (const double timeout_s : {0.0, 30.0}) {
+    std::atomic<int> on_pool{0}, off_pool{0};
+    RunOptions o;
+    o.point_timeout_s = timeout_s;
+    const DurableSweeper sweeper(
+        [&](const power::DesignParams& d) {
+          (ThreadPool::current() == &pool ? on_pool : off_pool).fetch_add(1);
+          return fake_metrics(d);
+        },
+        o);
+    const auto outcome = sweeper.run(base, space, &pool);
+    EXPECT_EQ(outcome.results.size(), space.size());
+    if (timeout_s > 0.0) {
+      EXPECT_EQ(off_pool.load(), int(space.size()));
+    } else {
+      EXPECT_EQ(on_pool.load(), int(space.size()));
+    }
+  }
+}
+
+TEST(DurableSweeper, PoolUtilizationOfEachSweepOnSharedPoolAtMostOne) {
+  // Two sweeps on one pool (as Study runs its baseline and CS sweeps): each
+  // reads its own window's busy share, not the pool's lifetime busy time
+  // over the second sweep's wall time.
+  ThreadPool pool(3);
+  const DurableSweeper sweeper(
+      [](const power::DesignParams& d) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        return fake_metrics(d);
+      },
+      RunOptions{});
+  DesignSpace space;
+  space.add_axis("adc_bits", {4, 5, 6, 7, 8, 9, 10, 11})
+      .add_axis("lna_noise_vrms", {2e-6, 6e-6});
+  power::DesignParams base;
+  auto& utilization = obs::gauge("pool/utilization");
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    utilization.set(-1.0);
+    (void)sweeper.run(base, space, &pool);
+    EXPECT_GT(utilization.value(), 0.0) << "sweep " << sweep;
+    EXPECT_LE(utilization.value(), 1.0) << "sweep " << sweep;
   }
 }
 

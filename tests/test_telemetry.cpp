@@ -267,6 +267,26 @@ TEST(TelemetryState, FrontierIsContiguousPrefix) {
   EXPECT_TRUE(st.snapshot(0.5).complete);
 }
 
+TEST(TelemetryState, BurstOfSettlementsKeepsEwmaNearMeanRate) {
+  // A coordinator scan, or pool threads finishing together, settles points
+  // microseconds apart. The EWMA must count them as points over elapsed
+  // time, not take 1/dt of each.
+  TelemetryState st;
+  JournalHeader h;
+  h.total_points = 24;
+  st.configure(h, 24, "j.jsonl");
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  for (std::uint64_t k = 0; k < 12; ++k) st.on_settled(k, false, false, 1);
+
+  const auto snap = st.snapshot(0.5);
+  const double mean_pps = 12.0 / snap.elapsed_s;
+  EXPECT_GT(snap.throughput_ewma_pps, mean_pps / 2.0);
+  EXPECT_LT(snap.throughput_ewma_pps, mean_pps * 2.0);
+  // ETA follows: 12 points left at about the mean rate.
+  EXPECT_GT(snap.eta_s, 0.5 * 12.0 / mean_pps);
+  EXPECT_LT(snap.eta_s, 2.0 * 12.0 / mean_pps);
+}
+
 // ---------------------------------------------------------------------------
 // StatusWriter heartbeat
 

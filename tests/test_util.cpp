@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -305,22 +307,12 @@ TEST(ThreadPool, StatsAccountForAllTasks) {
   });
   EXPECT_EQ(ran.load(), 64);
 
-  // parallel_for queues one helper task per worker; the workers may finish
-  // draining them just after the call returns, so poll briefly for the
-  // steady state: empty queue, idle workers, 3 completed helper tasks.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  ThreadPool::Stats stats;
-  for (;;) {
-    stats = pool.stats();
-    const bool settled = stats.queue_depth == 0 && stats.busy_workers == 0 &&
-                         stats.tasks_completed == 3u;
-    if (settled || std::chrono::steady_clock::now() > deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(stats.queue_depth, 0u);
+  // parallel_for returns only once no worker holds its job any more, so
+  // the pool is at rest right away: no open job, no busy worker.
+  const ThreadPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.open_jobs, 0u);
   EXPECT_EQ(stats.busy_workers, 0u);
-  EXPECT_EQ(stats.tasks_completed, 3u);
+  EXPECT_LE(stats.tasks_completed, 64u);  // the caller ran the rest
   ASSERT_EQ(stats.worker_tasks.size(), 3u);
   ASSERT_EQ(stats.worker_busy_s.size(), 3u);
   std::uint64_t sum = 0;
@@ -332,6 +324,125 @@ TEST(ThreadPool, StatsAccountForAllTasks) {
   EXPECT_GE(stats.utilization(10.0), 0.0);
   EXPECT_LE(stats.utilization(10.0), 1.0);
   EXPECT_DOUBLE_EQ(stats.utilization(0.0), 0.0);
+  // A window's delta: nothing ran since the snapshot.
+  const ThreadPool::Stats idle = pool.stats().minus(stats);
+  EXPECT_EQ(idle.tasks_completed, 0u);
+  EXPECT_DOUBLE_EQ(idle.utilization(1.0), 0.0);
+}
+
+namespace {
+
+/// On a one-worker pool, open a two-index inner job from the calling
+/// thread while the worker is busy with an outer item, and let the worker
+/// finish that item only once the inner job is open. inner(i) runs each
+/// inner index; inner index 0 holds the calling thread until inner index 1
+/// has started, so index 1 can only run on the worker, after it joined.
+/// Returns what the inner parallel_for threw at its opener (empty if
+/// nothing) and, through `joined_on`, the thread that ran inner index 1.
+std::string open_inner_while_worker_busy(
+    ThreadPool& pool, const std::function<void(std::size_t)>& inner,
+    std::thread::id* joined_on) {
+  const std::thread::id opener = std::this_thread::get_id();
+  std::latch both_outer_started(2), inner_open(1), both_inner_started(2);
+  std::string thrown;
+  pool.parallel_for(2, [&](std::size_t) {
+    // Both outer items run at once, so one is on the opener's thread and
+    // the other on the worker.
+    both_outer_started.arrive_and_wait();
+    if (std::this_thread::get_id() != opener) {
+      inner_open.wait();  // busy until the inner job has opened
+      return;
+    }
+    try {
+      pool.parallel_for(2, [&](std::size_t i) {
+        if (i == 0) {
+          inner_open.count_down();
+        } else {
+          *joined_on = std::this_thread::get_id();
+        }
+        both_inner_started.arrive_and_wait();
+        inner(i);
+      });
+    } catch (const std::exception& e) {
+      thrown = e.what();
+    }
+  });
+  return thrown;
+}
+
+}  // namespace
+
+TEST(ThreadPool, IdleWorkerJoinsInnerJobOpenedWhileBusy) {
+  ThreadPool pool(1);
+  std::atomic<int> inner_ran{0};
+  std::atomic<ThreadPool*> seen_current[2] = {nullptr, nullptr};
+  std::thread::id joined_on;
+  const std::string thrown = open_inner_while_worker_busy(
+      pool,
+      [&](std::size_t i) {
+        seen_current[i] = ThreadPool::current();
+        inner_ran.fetch_add(1);
+      },
+      &joined_on);
+  EXPECT_TRUE(thrown.empty()) << thrown;
+  EXPECT_EQ(inner_ran.load(), 2);
+  EXPECT_NE(joined_on, std::this_thread::get_id());
+  EXPECT_EQ(seen_current[0].load(), &pool);
+  EXPECT_EQ(seen_current[1].load(), &pool);
+  // One outer and one inner item ran on the worker.
+  EXPECT_EQ(pool.stats().tasks_completed, 2u);
+}
+
+TEST(ThreadPool, ExceptionInJoinedItemIsRethrownAtOpener) {
+  ThreadPool pool(1);
+  std::thread::id joined_on;
+  const std::string thrown = open_inner_while_worker_busy(
+      pool,
+      [](std::size_t i) {
+        if (i == 1) throw Error("joined item failed");
+      },
+      &joined_on);
+  EXPECT_NE(joined_on, std::this_thread::get_id());
+  EXPECT_NE(thrown.find("joined item failed"), std::string::npos) << thrown;
+  EXPECT_EQ(pool.open_jobs(), 0u);
+}
+
+TEST(ThreadPool, OpenJobListIsEmptyAfterParallelForReturns) {
+  ThreadPool pool(3);
+  const std::thread::id opener = std::this_thread::get_id();
+  std::atomic<int> closed_too_early{0};
+  pool.parallel_for(8, [&](std::size_t) {
+    pool.parallel_for(8, [&](std::size_t) {
+      // While the opener runs an outer item, the outer job stays open
+      // under the inner one.
+      if (std::this_thread::get_id() == opener && pool.open_jobs() < 2) {
+        closed_too_early.fetch_add(1);
+      }
+    });
+  });
+  EXPECT_EQ(closed_too_early.load(), 0);
+  EXPECT_EQ(pool.open_jobs(), 0u);
+  EXPECT_EQ(pool.stats().open_jobs, 0u);
+  EXPECT_EQ(pool.busy_workers(), 0u);
+}
+
+TEST(ThreadPool, CurrentNamesThePoolOnlyOnItsThreads) {
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+  ThreadPool outer(2), inner(2);
+  std::atomic<int> wrong{0};
+  outer.parallel_for(6, [&](std::size_t) {
+    if (ThreadPool::current() != &outer) wrong.fetch_add(1);
+    inner.parallel_for(4, [&](std::size_t) {
+      if (ThreadPool::current() != &inner) wrong.fetch_add(1);
+    });
+    // Restored once the inner pool's job returns.
+    if (ThreadPool::current() != &outer) wrong.fetch_add(1);
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(ThreadPool::current(), nullptr);
+  ThreadPool* on_fresh_thread = &outer;
+  std::thread([&] { on_fresh_thread = ThreadPool::current(); }).join();
+  EXPECT_EQ(on_fresh_thread, nullptr);
 }
 
 TEST(Constants, PhysicallyPlausible) {
